@@ -6,25 +6,24 @@ under an interference-power cap at the primary user, via alternating
 semidefinite relaxation with sequential rank-one recovery.
 """
 
-from .antenna import gain_3d_linear, vertical_attenuation_db, vertical_gain_linear
+from .antenna import vertical_attenuation_db, vertical_gain_linear
 from .channels import (ChannelSet, PbsBeamformer, generate_channels,
                        pbs_beamformer)
 from .experiments import (SweepResult, SweepSpec, load_sweep_spec, run_sweep,
                           run_trial)
 from .metrics import (DesignState, effective_pu_row, effective_su_row,
                       pattern_gains, pu_interference, se_su, sinr_su)
-from .optimizer import (AlternatingOptimizer, OptimizerParams, OptimizerResult,
-                        TiltDecision, run_algorithm1, select_tilt)
+from .optimizer import (OptimizerResult, TiltDecision, run_algorithm1,
+                        select_tilt)
 from .scenario import (Scenario, ScenarioError, derive_geometry, load_scenario,
                        paper_default)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlternatingOptimizer", "ChannelSet", "DesignState", "OptimizerParams",
-    "OptimizerResult", "PbsBeamformer", "Scenario", "ScenarioError",
-    "SweepResult", "SweepSpec", "TiltDecision", "derive_geometry",
-    "effective_pu_row", "effective_su_row", "gain_3d_linear",
+    "ChannelSet", "DesignState", "OptimizerResult", "PbsBeamformer",
+    "Scenario", "ScenarioError", "SweepResult", "SweepSpec", "TiltDecision",
+    "derive_geometry", "effective_pu_row", "effective_su_row",
     "generate_channels", "load_scenario", "load_sweep_spec", "paper_default",
     "pattern_gains", "pbs_beamformer", "pu_interference", "run_algorithm1",
     "run_sweep", "run_trial", "se_su", "select_tilt", "sinr_su",

@@ -1,4 +1,4 @@
-"""Vertical and 3D sector-antenna gain model at the secondary base station.
+"""Vertical sector-antenna gain model at the secondary base station.
 
 The vertical pattern is the parabolic attenuation
 ``-min(12 ((theta_x - theta_tilt)/theta_3dB)^2, SLA_V)`` in dB; an unbounded
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import PatternParams, ScenarioError
+from .scenario import PatternParams
 
 
 def vertical_attenuation_db(theta_tilt_deg, theta_x_deg,
@@ -28,17 +28,4 @@ def vertical_gain_linear(theta_tilt_deg, theta_x_deg, params: PatternParams):
     """Linear power gain in (0, 1]; equals 1 exactly on boresight."""
     att = vertical_attenuation_db(theta_tilt_deg, theta_x_deg, params)
     out = 10.0 ** (np.asarray(att, dtype=float) / 10.0)
-    return out if np.ndim(out) else float(out)
-
-
-def gain_3d_linear(theta_tilt_deg, phi_azimuth_deg, theta_x_deg, phi_x_deg,
-                   params: PatternParams):
-    """Combined elevation/azimuth linear power gain, peak value a_m_linear."""
-    if params.phi_3db_deg is None or params.a_m_linear is None:
-        raise ScenarioError("3D gain requires phi_3db_deg and a_m_linear")
-    ev = ((np.asarray(theta_x_deg, dtype=float) - theta_tilt_deg)
-          / params.theta_3db_deg) ** 2
-    az = ((np.asarray(phi_x_deg, dtype=float) - phi_azimuth_deg)
-          / params.phi_3db_deg) ** 2
-    out = params.a_m_linear * 10.0 ** (-1.2 * (ev + az))
     return out if np.ndim(out) else float(out)

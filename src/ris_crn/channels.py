@@ -12,13 +12,11 @@ path loss and no LOS structure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (ChannelParams, DerivedGeometry, Scenario,
-                       derive_geometry, elevation_deg)
+from .scenario import ChannelParams, Scenario, derive_geometry, elevation_deg
 
 # Fixed per-link substream indices; adding links must never renumber these.
 LINK_STREAMS = {"G": 0, "u": 1, "v": 2, "h_s": 3, "h_p": 4, "f_p": 5, "f_s": 6}
@@ -90,11 +88,8 @@ def _link_rng(seed: int, link: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def generate_channels(scenario: Scenario, geometry: DerivedGeometry = None,
-                      seed: int = 0) -> ChannelSet:
+def generate_channels(scenario: Scenario, seed: int = 0) -> ChannelSet:
     """Draw all seven channels; deterministic in (scenario, seed)."""
-    if geometry is None:
-        geometry = derive_geometry(scenario)
     cp = scenario.channel
     n, n_s, n_p = scenario.n_ris, scenario.n_s, scenario.n_p
     pos = scenario.positions
@@ -110,7 +105,7 @@ def generate_channels(scenario: Scenario, geometry: DerivedGeometry = None,
         return path_loss_amplitude(dist, cp) * rician_sample(
             rows, cols, cp.rician_k, los, rng)
 
-    g = geometry
+    g = derive_geometry(scenario)
     return ChannelSet(
         G=draw("G", n, n_s, g.d_sbs_ris_m, "sbs", "ris"),
         u=draw("u", n, 1, g.d_ris_su_m, "ris", "su")[:, 0],
@@ -129,30 +124,3 @@ def pbs_beamformer(h_p: np.ndarray, pp_dbw: float) -> PbsBeamformer:
         raise ChannelError("h_p is zero; PBS beamformer undefined")
     pp_w = 10.0 ** (pp_dbw / 10.0)
     return PbsBeamformer(w_p=np.sqrt(pp_w) * h_p / norm)
-
-
-# -- JSON dump format (used to pin oracle fixtures) -----------------------
-
-def _carray_to_json(arr: np.ndarray):
-    return [[float(np.real(z)), float(np.imag(z))] for z in np.ravel(arr)]
-
-
-def _carray_from_json(data, shape):
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(shape)
-
-
-def channelset_to_json(ch: ChannelSet) -> str:
-    doc = {}
-    for name in LINK_STREAMS:
-        arr = getattr(ch, name)
-        doc[name] = {"shape": list(arr.shape), "values": _carray_to_json(arr)}
-    return json.dumps(doc)
-
-
-def channelset_from_json(text: str) -> ChannelSet:
-    doc = json.loads(text)
-    kwargs = {name: _carray_from_json(doc[name]["values"],
-                                      tuple(doc[name]["shape"]))
-              for name in LINK_STREAMS}
-    return ChannelSet(**kwargs)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import generate_channels
-from .optimizer import OptimizerParams, run_algorithm1
+from .optimizer import run_algorithm1
 from .scenario import Scenario, ScenarioError, apply_overrides
 
 log = logging.getLogger(__name__)
@@ -61,6 +61,11 @@ class SweepSpec:
                 if int(g) != g or g < 0:
                     raise SweepError(f"elements grid values must be "
                                      f"non-negative integers, got {g}")
+        if self.kind == "tilt":
+            for g in self.grid:
+                if not -180.0 <= g <= 0.0:
+                    raise SweepError(f"tilt grid values must lie in "
+                                     f"[-180, 0] degrees, got {g}")
 
 
 _SPEC_KEYS = {"kind", "grid", "trials", "base_seed", "methods", "overrides"}
@@ -72,14 +77,30 @@ def sweepspec_from_dict(doc: dict) -> SweepSpec:
     unknown = sorted(set(doc) - _SPEC_KEYS)
     if unknown:
         raise SweepError(f"unknown keys in sweep spec: {unknown}")
-    try:
-        return SweepSpec(kind=doc["kind"], grid=tuple(doc["grid"]),
-                         trials=int(doc["trials"]),
-                         base_seed=int(doc.get("base_seed", 0)),
-                         methods=tuple(doc.get("methods", ("proposed",))),
-                         overrides=doc.get("overrides"))
-    except KeyError as exc:
-        raise SweepError(f"sweep spec missing required key {exc}") from None
+    missing = sorted({"kind", "grid", "trials"} - set(doc))
+    if missing:
+        raise SweepError(f"sweep spec missing required keys {missing}")
+    doc = {"base_seed": 0, "methods": ["proposed"], **doc}
+    for key in ("grid", "methods"):
+        if not isinstance(doc[key], list):
+            raise SweepError(f"{key} must be a list, got {doc[key]!r}")
+    if not all(_is_number(g) for g in doc["grid"]):
+        raise SweepError(f"grid values must be numbers, got {doc['grid']!r}")
+    for key in ("trials", "base_seed"):
+        if not _is_integer(doc[key]):
+            raise SweepError(f"{key} must be an integer, got {doc[key]!r}")
+    return SweepSpec(kind=doc["kind"], grid=tuple(doc["grid"]),
+                     trials=doc["trials"], base_seed=doc["base_seed"],
+                     methods=tuple(doc["methods"]),
+                     overrides=doc.get("overrides"))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_sweep_spec(path) -> SweepSpec:
@@ -136,8 +157,7 @@ def _cell_setup(spec: SweepSpec, scenario: Scenario, grid_value):
 
 
 def run_trial(scenario: Scenario, method: str, seed: int,
-              fixed_tilt_deg: float = None,
-              params: OptimizerParams = None) -> TrialResult:
+              fixed_tilt_deg: float = None) -> TrialResult:
     """One channel draw, one method.
 
     ``proposed`` runs the full alternating optimization; ``random_phase``
@@ -148,16 +168,13 @@ def run_trial(scenario: Scenario, method: str, seed: int,
     """
     if method not in METHODS:
         raise SweepError(f"unknown method {method!r}; valid: {METHODS}")
-    if params is None:
-        params = OptimizerParams()
     if method == "no_ris":
         scenario = apply_overrides(scenario, {"n_ris": 0})
-    if method == "fixed_zero_phase":
-        params = replace(params, phase_init_mode="zero")
     channels = generate_channels(scenario, seed=seed)
-    result = run_algorithm1(channels, scenario, params, seed=seed,
+    result = run_algorithm1(channels, scenario, seed=seed,
                             fixed_tilt_deg=fixed_tilt_deg,
-                            update_phases=(method == "proposed"))
+                            update_phases=(method == "proposed"),
+                            zero_phase_start=(method == "fixed_zero_phase"))
     log.debug("trial method=%s seed=%d se=%.6f iters=%d feasible=%s",
               method, seed, result.se, result.outer_iterations,
               result.feasible)
@@ -167,18 +184,17 @@ def run_trial(scenario: Scenario, method: str, seed: int,
 
 
 def _trial_task(args):
-    grid_idx, grid_value, method, trial, scenario, seed, fixed_tilt, params = args
+    grid_idx, grid_value, method, trial, scenario, seed, fixed_tilt = args
     try:
         return grid_idx, method, trial, run_trial(scenario, method, seed,
-                                                  fixed_tilt, params)
+                                                  fixed_tilt)
     except Exception as exc:
         raise SweepError(f"trial failed at grid_value {grid_value}, "
                          f"method {method!r}, seed {seed}: {exc}") from exc
 
 
 def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
-              workers: int = 1,
-              params: OptimizerParams = None) -> SweepResult:
+              workers: int = 1) -> SweepResult:
     """Run all (grid value, method, trial) cells and aggregate.
 
     Results are keyed and reduced in a fixed order after all trials
@@ -198,7 +214,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
             for trial in range(spec.trials):
                 tasks.append((grid_idx, grid_value, method, trial,
                               cell_scenario, spec.base_seed + trial,
-                              fixed_tilt, params))
+                              fixed_tilt))
 
     results = {}
     if workers > 1:

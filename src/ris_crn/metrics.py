@@ -1,9 +1,8 @@
 """Effective channels, secondary SINR/SE and primary interference.
 
-The tilt (and, in 3D mode, azimuth) gains enter as amplitudes on the channel
-rows: ``a = sqrt(A_d) h_s^H + sqrt(A_r) u^H diag(e^{j alpha}) G`` toward the
-SU and ``b = sqrt(A_i) f_p^H + sqrt(A_r) v^H diag(e^{j alpha}) G`` toward
-the PU.
+The tilt gains enter as amplitudes on the channel rows:
+``a = sqrt(A_d) h_s^H + sqrt(A_r) u^H diag(e^{j alpha}) G`` toward the SU and
+``b = sqrt(A_i) f_p^H + sqrt(A_r) v^H diag(e^{j alpha}) G`` toward the PU.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .antenna import gain_3d_linear, vertical_gain_linear
+from .antenna import vertical_gain_linear
 from .channels import ChannelSet, PbsBeamformer
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -22,7 +21,6 @@ class DesignState:
     w_s: np.ndarray          # (N_s,) complex, units watt^(1/2)
     phases: np.ndarray       # (N,) real radians; RIS coefficient e^{j phase}
     theta_tilt_deg: float
-    phi_azimuth_deg: float | None = None
 
     def validate(self, scenario: Scenario):
         if self.w_s.shape != (scenario.n_s,):
@@ -51,17 +49,8 @@ class DesignState:
 
 def pattern_gains(state: DesignState, scenario: Scenario,
                   geometry=None) -> tuple[float, float, float]:
-    """(A_d, A_r, A_i) power gains for the current tilt (and azimuth)."""
+    """(A_d, A_r, A_i) power gains for the current tilt."""
     th_d, th_r, th_i = scenario.elevation_angles_deg(geometry)
-    if state.phi_azimuth_deg is not None:
-        for name in ("phi_d_deg", "phi_r_deg", "phi_i_deg"):
-            if getattr(scenario, name) is None:
-                raise ScenarioError(f"3D mode requires scenario.{name}")
-        g = lambda th_x, ph_x: gain_3d_linear(
-            state.theta_tilt_deg, state.phi_azimuth_deg, th_x, ph_x,
-            scenario.pattern)
-        return (g(th_d, scenario.phi_d_deg), g(th_r, scenario.phi_r_deg),
-                g(th_i, scenario.phi_i_deg))
     g = lambda th_x: vertical_gain_linear(state.theta_tilt_deg, th_x,
                                           scenario.pattern)
     return g(th_d), g(th_r), g(th_i)
@@ -105,11 +94,3 @@ def pu_interference(state: DesignState, channels: ChannelSet,
                     scenario: Scenario, geometry=None) -> float:
     b = effective_pu_row(state, channels, scenario, geometry)
     return float(abs(np.dot(b, state.w_s)) ** 2)
-
-
-def pu_sinr(state: DesignState, channels: ChannelSet, w_p: PbsBeamformer,
-            scenario: Scenario, geometry=None) -> float:
-    """Primary user's own SINR; diagnostic only, never a constraint."""
-    signal = abs(np.vdot(channels.h_p, w_p.w_p)) ** 2
-    interference = pu_interference(state, channels, scenario, geometry)
-    return float(signal / (scenario.noise_w + interference))

@@ -11,7 +11,7 @@ objective is discarded in favor of the previous iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,29 +20,9 @@ from .channels import ChannelSet, PbsBeamformer, pbs_beamformer
 from .metrics import (DesignState, effective_pu_row, effective_su_row,
                       pattern_gains, pu_interference, se_su, sinr_su)
 from .scenario import Scenario, derive_geometry
-from .srocr import SrocrParams
 
-
-@dataclass(frozen=True)
-class OptimizerParams:
-    epsilon: float = 1e-3
-    max_outer_iters: int = 20
-    srocr: SrocrParams = field(default_factory=SrocrParams)
-    tilt_mode: str = "analytic"       # analytic | grid
-    tilt_grid_deg: float = 1.0
-    phase_init_mode: str = "random"   # random | zero
-    sdp_tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.tilt_grid_deg <= 0:
-            raise ValueError(f"tilt_grid_deg must be > 0, got {self.tilt_grid_deg}")
-        if self.tilt_mode not in ("analytic", "grid"):
-            raise ValueError(f"tilt_mode must be analytic|grid, got {self.tilt_mode}")
-        if self.phase_init_mode not in ("random", "zero"):
-            raise ValueError("phase_init_mode must be random|zero, "
-                             f"got {self.phase_init_mode}")
+EPSILON = 1e-3         # relative SE gain below which the loop stops
+MAX_OUTER_ITERS = 20
 
 
 @dataclass(frozen=True)
@@ -85,45 +65,14 @@ def expected_cascade_power(w_s: np.ndarray, sigma2: float, n_ris: int) -> float:
     return sigma2 ** 2 * n_ris * float(np.vdot(w_s, w_s).real)
 
 
-def select_tilt(scenario: Scenario, mode: str = "analytic",
-                state: DesignState = None, channels: ChannelSet = None,
-                grid_step_deg: float = 1.0,
-                geometry=None) -> TiltDecision:
-    """Pick the tilt: toward the RIS or toward the SU.
-
-    ``analytic``: expectation comparison (sigma^2 N vs 1), needs only the
-    scenario.  ``instance``: compares the realized direct and cascade
-    amplitudes of a concrete design.  ``grid``: exhaustive maximization of
-    the realized objective over the allowed tilt interval.
-    """
+def select_tilt(scenario: Scenario, geometry=None) -> TiltDecision:
+    """Point the tilt at the RIS or at the SU, whichever path carries more
+    expected power under the iid model (sigma^4 N against sigma^2)."""
     th_d, th_r, _ = scenario.elevation_angles_deg(geometry)
-    if mode == "analytic":
-        w_ref = np.ones(1)
-        direct = expected_direct_power(w_ref, scenario.channel.channel_sigma2)
-        cascade = expected_cascade_power(w_ref, scenario.channel.channel_sigma2,
-                                         scenario.n_ris)
-    elif mode == "instance":
-        if state is None or channels is None:
-            raise ValueError("instance mode needs a state and channels")
-        direct = abs(np.vdot(channels.h_s, state.w_s)) ** 2
-        phi = state.ris_coefficients
-        cascade = abs((channels.u.conj() * phi) @ channels.G @ state.w_s) ** 2
-    elif mode == "grid":
-        if state is None or channels is None:
-            raise ValueError("grid mode needs a state and channels")
-        grid = np.arange(-180.0, 0.0 + 0.5 * grid_step_deg, grid_step_deg)
-        vals = []
-        for tilt in grid:
-            cand = DesignState(state.w_s, state.phases, float(tilt),
-                               state.phi_azimuth_deg)
-            row = effective_su_row(cand, channels, scenario, geometry)
-            vals.append(abs(np.dot(row, state.w_s)) ** 2)
-        best = float(grid[int(np.argmax(vals))])
-        near_ris = abs(best - th_r) <= abs(best - th_d)
-        return TiltDecision(best, "ris" if near_ris else "direct",
-                            float(np.max(vals)), float(np.max(vals)))
-    else:
-        raise ValueError(f"unknown tilt mode {mode!r}")
+    w_ref = np.ones(1)
+    direct = expected_direct_power(w_ref, scenario.channel.channel_sigma2)
+    cascade = expected_cascade_power(w_ref, scenario.channel.channel_sigma2,
+                                     scenario.n_ris)
     # ties point at the RIS, matching the large-N regime
     if cascade >= direct:
         return TiltDecision(th_r, "ris", direct, cascade)
@@ -180,10 +129,10 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
 
 # -- main loop ------------------------------------------------------------
 
-def initial_phases(n_ris: int, seed: int, mode: str = "random") -> np.ndarray:
+def initial_phases(n_ris: int, seed: int) -> np.ndarray:
     """Phase initialization; the random draw is shared with the
     random-phase baseline so method comparisons are paired."""
-    if mode == "zero" or n_ris == 0:
+    if n_ris == 0:
         return np.zeros(n_ris)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(7,))
     rng = np.random.Generator(np.random.PCG64(ss))
@@ -204,14 +153,14 @@ def _feasible_beamformer(vec: np.ndarray, b_row: np.ndarray,
 
 
 def _solve_ws(state: DesignState, channels: ChannelSet, scenario: Scenario,
-              params: OptimizerParams, geometry, diag: dict) -> np.ndarray:
+              geometry, diag: dict) -> np.ndarray:
     problem = build_ws_problem(state, channels, scenario, geometry)
     b_row = effective_pu_row(state, channels, scenario, geometry)
-    relaxed = sdp.solve(problem, tol=params.sdp_tol)
+    relaxed = sdp.solve(problem)
     diag["ws_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
         return state.w_s
-    result = srocr.refine(problem, relaxed, params.srocr, tol=params.sdp_tol)
+    result = srocr.refine(problem, relaxed)
     diag["ws_srocr_ratio"] = result.ratio
     diag["ws_srocr_iters"] = result.iterations
     if result.feasible:
@@ -223,58 +172,49 @@ def _solve_ws(state: DesignState, channels: ChannelSet, scenario: Scenario,
 
 
 def _solve_phases(state: DesignState, channels: ChannelSet,
-                  scenario: Scenario, params: OptimizerParams, geometry,
-                  rng: np.random.Generator, diag: dict) -> np.ndarray:
+                  scenario: Scenario, geometry, rng: np.random.Generator,
+                  diag: dict) -> np.ndarray:
     problem, _, _ = build_phase_problem(state, channels, scenario, geometry)
-    relaxed = sdp.solve(problem, tol=params.sdp_tol)
+    relaxed = sdp.solve(problem)
     diag["phase_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
         return state.phases
-    result = srocr.refine(problem, relaxed, params.srocr, tol=params.sdp_tol,
-                          unit_modulus=True)
+    result = srocr.refine(problem, relaxed, unit_modulus=True)
     diag["phase_srocr_ratio"] = result.ratio
     diag["phase_srocr_iters"] = result.iterations
     if result.feasible:
         x = srocr.extract_vector(result, "phases")
         diag["phase_recovery"] = "srocr"
     else:
-        x = srocr.randomize_phases(problem, relaxed.x, rng,
-                                   params.srocr.n_randomizations)
+        x = srocr.randomize_phases(problem, relaxed.x, rng)
         diag["phase_recovery"] = "randomization"
     return np.angle(x[:-1])
 
 
 def run_algorithm1(channels: ChannelSet, scenario: Scenario,
-                   params: OptimizerParams = OptimizerParams(),
                    seed: int = 0, w_p: PbsBeamformer = None,
                    fixed_tilt_deg: float = None,
-                   update_phases: bool = True) -> OptimizerResult:
+                   update_phases: bool = True,
+                   zero_phase_start: bool = False) -> OptimizerResult:
     """Alternating beamformer/phase optimization at a fixed tilt.
 
     With ``update_phases=False`` the RIS coefficients stay at their
     initialization and only the beamformer is optimized; the baselines in
     the experiment harness run through this same loop so feasibility
-    repair and reporting are identical across methods.
+    repair and reporting are identical across methods.  The phases start
+    at the seeded random draw, or at zero with ``zero_phase_start``.
     """
     geometry = derive_geometry(scenario)
     channels.validate(scenario)
     if w_p is None:
         w_p = pbs_beamformer(channels.h_p, scenario.pp_dbw)
 
-    phases0 = initial_phases(scenario.n_ris, seed, params.phase_init_mode)
+    phases0 = (np.zeros(scenario.n_ris) if zero_phase_start
+               else initial_phases(scenario.n_ris, seed))
     if fixed_tilt_deg is not None:
-        th_d, th_r, _ = scenario.elevation_angles_deg(geometry)
         tilt = TiltDecision(float(fixed_tilt_deg), "fixed", np.nan, np.nan)
     else:
-        # uniform full-power probe so grid mode sees a nonzero objective
-        probe_w = np.full(scenario.n_s,
-                          np.sqrt(scenario.p_max_w / scenario.n_s),
-                          dtype=complex)
-        probe = DesignState(probe_w, phases0, 0.0)
-        tilt = select_tilt(scenario, params.tilt_mode, state=probe,
-                           channels=channels,
-                           grid_step_deg=params.tilt_grid_deg,
-                           geometry=geometry)
+        tilt = select_tilt(scenario, geometry)
     state = DesignState(np.zeros(scenario.n_s, dtype=complex), phases0,
                         tilt.theta_tilt_deg)
     fallback_rng = np.random.Generator(np.random.PCG64(
@@ -300,15 +240,15 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     se_prev = 0.0
     se_trace: list[float] = []
     diagnostics: list[dict] = []
-    for t in range(1, params.max_outer_iters + 1):
+    for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
         cand = restore(state.with_beamformer(
-            _solve_ws(state, channels, scenario, params, geometry, diag)))
+            _solve_ws(state, channels, scenario, geometry, diag)))
         if se_of(cand) >= se_of(state):
             state = cand
         if update_phases and scenario.n_ris > 0:
             cand = restore(state.with_phases(
-                _solve_phases(state, channels, scenario, params, geometry,
+                _solve_phases(state, channels, scenario, geometry,
                               fallback_rng, diag)))
             if se_of(cand) >= se_of(state):
                 state = cand
@@ -320,7 +260,7 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
             break
         err = (se_now - se_prev) / se_now
         se_prev = se_now
-        if err < params.epsilon:
+        if err < EPSILON:
             break
 
     leak = pu_interference(state, channels, scenario, geometry)
@@ -332,60 +272,3 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
                            outer_iterations=len(se_trace), tilt=tilt,
                            pu_interference_w=leak, power_w=power,
                            feasible=feasible, diagnostics=diagnostics)
-
-
-# -- sklearn-style front end ----------------------------------------------
-
-class AlternatingOptimizer:
-    """Estimator-style wrapper: ``fit`` on a ChannelSet, read the design
-    off fitted attributes.  Parameters mirror OptimizerParams."""
-
-    def __init__(self, scenario: Scenario, epsilon: float = 1e-3,
-                 max_outer_iters: int = 20, tilt_mode: str = "analytic",
-                 tilt_grid_deg: float = 1.0, phase_init_mode: str = "random",
-                 seed: int = 0):
-        self.scenario = scenario
-        self.epsilon = epsilon
-        self.max_outer_iters = max_outer_iters
-        self.tilt_mode = tilt_mode
-        self.tilt_grid_deg = tilt_grid_deg
-        self.phase_init_mode = phase_init_mode
-        self.seed = seed
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {k: getattr(self, k) for k in
-                ("scenario", "epsilon", "max_outer_iters", "tilt_mode",
-                 "tilt_grid_deg", "phase_init_mode", "seed")}
-
-    def set_params(self, **kwargs) -> "AlternatingOptimizer":
-        valid = self.get_params()
-        for key, value in kwargs.items():
-            if key not in valid:
-                raise ValueError(f"invalid parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, channels: ChannelSet, w_p: PbsBeamformer = None
-            ) -> "AlternatingOptimizer":
-        params = OptimizerParams(epsilon=self.epsilon,
-                                 max_outer_iters=self.max_outer_iters,
-                                 tilt_mode=self.tilt_mode,
-                                 tilt_grid_deg=self.tilt_grid_deg,
-                                 phase_init_mode=self.phase_init_mode)
-        result = run_algorithm1(channels, self.scenario, params,
-                                seed=self.seed, w_p=w_p)
-        self.result_ = result
-        self.w_s_ = result.state.w_s
-        self.phases_ = result.state.phases
-        self.theta_tilt_deg_ = result.state.theta_tilt_deg
-        self.se_trace_ = result.se_trace
-        return self
-
-    def predict(self, channels: ChannelSet, w_p: PbsBeamformer = None) -> float:
-        """Spectral efficiency of the fitted design on (possibly new)
-        channels of matching dimensions."""
-        if not hasattr(self, "result_"):
-            raise RuntimeError("call fit before predict")
-        if w_p is None:
-            w_p = pbs_beamformer(channels.h_p, self.scenario.pp_dbw)
-        return se_su(sinr_su(self.result_.state, channels, w_p, self.scenario))

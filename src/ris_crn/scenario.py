@@ -27,10 +27,6 @@ def dbw_to_watts(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
 
-def watts_to_dbw(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 @dataclass(frozen=True)
 class NodePosition:
     x: float
@@ -51,18 +47,12 @@ class NodePosition:
 class PatternParams:
     theta_3db_deg: float = 10.0
     sla_v_db: float | None = None  # None means unbounded side-lobe floor
-    phi_3db_deg: float | None = 70.0
-    a_m_linear: float | None = 1.0
 
     def __post_init__(self):
         if self.theta_3db_deg <= 0:
             raise ScenarioError(f"theta_3db_deg must be > 0, got {self.theta_3db_deg}")
         if self.sla_v_db is not None and self.sla_v_db <= 0:
             raise ScenarioError(f"sla_v_db must be > 0 or null, got {self.sla_v_db}")
-        if self.phi_3db_deg is not None and self.phi_3db_deg <= 0:
-            raise ScenarioError(f"phi_3db_deg must be > 0, got {self.phi_3db_deg}")
-        if self.a_m_linear is not None and self.a_m_linear <= 0:
-            raise ScenarioError(f"a_m_linear must be > 0, got {self.a_m_linear}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +97,6 @@ class Scenario:
     theta_d_deg: float | None = None
     theta_r_deg: float | None = None
     theta_i_deg: float | None = None
-    phi_d_deg: float | None = None
-    phi_r_deg: float | None = None
-    phi_i_deg: float | None = None
     pattern: PatternParams = field(default_factory=PatternParams)
     channel: ChannelParams = field(default_factory=ChannelParams)
     angle_mode: str = "configured"
@@ -121,12 +108,12 @@ class Scenario:
         extra = [n for n in self.positions if n not in NODE_NAMES]
         if extra:
             raise ScenarioError(f"positions has unknown nodes: {extra}")
-        if self.n_s < 1:
-            raise ScenarioError(f"n_s must be >= 1, got {self.n_s}")
-        if self.n_p < 1:
-            raise ScenarioError(f"n_p must be >= 1, got {self.n_p}")
-        if self.n_ris < 0:
-            raise ScenarioError(f"n_ris must be >= 0, got {self.n_ris}")
+        for name, least in (("n_s", 1), ("n_p", 1), ("n_ris", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ScenarioError(f"{name} must be >= {least}, got {value}")
         for name in ("p_max_dbw", "pp_dbw"):
             if not math.isfinite(getattr(self, name)):
                 raise ScenarioError(f"{name} must be finite")
@@ -225,10 +212,10 @@ def derive_geometry(scenario: Scenario) -> DerivedGeometry:
 
 _SCENARIO_KEYS = {
     "positions", "n_s", "n_p", "n_ris", "p_max_dbw", "pp_dbw", "gamma_w",
-    "noise_dbm", "theta_d_deg", "theta_r_deg", "theta_i_deg",
-    "phi_d_deg", "phi_r_deg", "phi_i_deg", "pattern", "channel", "angle_mode",
+    "noise_dbm", "theta_d_deg", "theta_r_deg", "theta_i_deg", "pattern",
+    "channel", "angle_mode",
 }
-_PATTERN_KEYS = {"theta_3db_deg", "sla_v_db", "phi_3db_deg", "a_m_linear"}
+_PATTERN_KEYS = {"theta_3db_deg", "sla_v_db"}
 _CHANNEL_KEYS = {"zeta0_db", "d0_m", "alpha", "rician_k", "channel_sigma2",
                  "iid_mode"}
 _POSITION_KEYS = {"x", "y", "z"}

@@ -8,13 +8,14 @@ arithmetic.  Problem dimensions here stay below ~70, so everything is dense.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
 HERM_TOL = 1e-12
+TOL = 1e-7          # relative residuals and gap of an optimal solve
+MAX_ITERS = 100
 
 
 class SdpError(ValueError):
@@ -29,17 +30,6 @@ def check_hermitian(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     if np.abs(mat - mat.conj().T).max(initial=0.0) > HERM_TOL * scale:
         raise SdpError(f"{name} is not Hermitian")
     return 0.5 * (mat + mat.conj().T)
-
-
-def hermitian_to_real(c: np.ndarray) -> np.ndarray:
-    """Standard [[Re, -Im], [Im, Re]] embedding of a Hermitian matrix.
-
-    The embedding is linear, maps PSD to PSD, duplicates every eigenvalue,
-    and satisfies tr(C X) = 0.5 * tr(embed(C) embed(X)).
-    """
-    c = check_hermitian(c, "embedding input")
-    re, im = c.real, c.imag
-    return np.block([[re, -im], [im, re]])
 
 
 @dataclass(frozen=True)
@@ -92,26 +82,6 @@ class SdpProblem:
                 worst = max(worst, abs(val - con.b) / scale)
         return worst
 
-    def to_json(self) -> str:
-        def dump(m):
-            return {"re": np.asarray(m).real.tolist(),
-                    "im": np.asarray(m).imag.tolist()}
-        return json.dumps({
-            "objective": dump(self.c),
-            "constraints": [{"a": dump(c.a), "relation": c.relation,
-                             "b": c.b} for c in self.constraints],
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "SdpProblem":
-        doc = json.loads(text)
-
-        def load(m):
-            return np.array(m["re"]) + 1j * np.array(m["im"])
-        return SdpProblem(load(doc["objective"]),
-                          [SdpConstraint(load(c["a"]), c["relation"], c["b"])
-                           for c in doc["constraints"]])
-
 
 @dataclass
 class SdpSolution:
@@ -159,8 +129,7 @@ def _max_step_factored(linv: np.ndarray, dmat: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def solve(problem: SdpProblem, tol: float = 1e-7,
-          max_iters: int = 100) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Interior-point solve; deterministic for fixed inputs."""
     n = problem.dim
     m = len(problem.constraints)
@@ -205,7 +174,7 @@ def solve(problem: SdpProblem, tol: float = 1e-7,
     status = "max-iterations"
     iters = 0
 
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         rp = bvec - opA(x) - s                     # primal residual
         rd = cmat - opAt(y) + z                    # dual residual (Hermitian)
         mu = (float(np.tensordot(x.conj(), z).real) + float(s @ y)) / (n + max(k, 1))
@@ -215,10 +184,10 @@ def solve(problem: SdpProblem, tol: float = 1e-7,
         pres = float(np.linalg.norm(rp)) / b_norm
         dres = float(np.linalg.norm(rd)) / c_norm
 
-        if pres <= tol and dres <= tol and gap <= tol:
+        if pres <= TOL and dres <= TOL and gap <= TOL:
             status = "optimal"
             break
-        if (dobj < -1e9 * b_norm or np.linalg.norm(y) > 1e10) and pres > tol:
+        if (dobj < -1e9 * b_norm or np.linalg.norm(y) > 1e10) and pres > TOL:
             status = "infeasible"
             break
         if not np.isfinite(mu) or mu < 0:

@@ -22,24 +22,11 @@ class SrocrError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SrocrParams:
-    w_init: float | None = None   # None: start at the achieved lambda1/tr
-    delta_init: float = 0.1
-    rank_tol: float = 0.999
-    max_outer: int = 30
-    shrink: float = 0.5
-    n_randomizations: int = 200
-
-    def __post_init__(self):
-        if self.w_init is not None and not (0.0 <= self.w_init < 1.0):
-            raise SrocrError(f"w_init must be in [0, 1), got {self.w_init}")
-        if self.delta_init <= 0:
-            raise SrocrError(f"delta_init must be > 0, got {self.delta_init}")
-        if not (0.9 < self.rank_tol <= 1.0):
-            raise SrocrError(f"rank_tol must be in (0.9, 1], got {self.rank_tol}")
-        if not (0.0 < self.shrink < 1.0):
-            raise SrocrError(f"shrink must be in (0, 1), got {self.shrink}")
+RANK_TOL = 0.999        # lambda_1 / tr(X) at which X counts as rank one
+DELTA_INIT = 0.1        # first step of the alignment weight
+SHRINK = 0.5            # step shrink factor after an infeasible round
+MAX_ROUNDS = 30
+N_RANDOMIZATIONS = 200  # Gaussian draws of the randomization fallback
 
 
 @dataclass
@@ -80,47 +67,46 @@ def _align_direction(x: np.ndarray, unit_modulus: bool) -> np.ndarray:
 
 
 def refine(problem: SdpProblem, relaxed: SdpSolution,
-           params: SrocrParams = SrocrParams(),
-           tol: float = 1e-7, unit_modulus: bool = False) -> RankOneResult:
+           unit_modulus: bool = False) -> RankOneResult:
     """Tighten the relaxed solution toward rank one."""
     if relaxed.status != "optimal":
         raise SrocrError(f"relaxed solution status is {relaxed.status}")
 
     x = relaxed.x
     ratio = rank_one_ratio(x)
-    if ratio >= params.rank_tol:
+    if ratio >= RANK_TOL:
         lam, q = sdp.principal_eigpair(x)
         return RankOneResult(x=x, vector=np.sqrt(max(lam, 0.0)) * q,
                              ratio=ratio, iterations=0, feasible=True,
                              objective=relaxed.objective)
 
-    w = params.w_init if params.w_init is not None else ratio
-    delta = params.delta_init
+    w = ratio
+    delta = DELTA_INIT
     best = (x, ratio, relaxed.objective)
     n = problem.dim
     iterations = 0
-    while iterations < params.max_outer:
+    while iterations < MAX_ROUNDS:
         iterations += 1
         q = _align_direction(best[0], unit_modulus)
         w_try = min(1.0, w + delta)
         # q^H X q >= w * tr(X)  <=>  tr((q q^H - w I) X) >= 0
         aligned = problem.with_constraint(
             np.outer(q, q.conj()) - w_try * np.eye(n), ">=", 0.0)
-        sol = sdp.solve(aligned, tol=tol)
+        sol = sdp.solve(aligned)
         if sol.status != "optimal":
-            delta *= params.shrink
+            delta *= SHRINK
             if delta < 1e-6:
                 break
             continue
         w = w_try
         ratio = rank_one_ratio(sol.x)
         best = (sol.x, ratio, sol.objective)
-        if ratio >= params.rank_tol or w >= 1.0:
+        if ratio >= RANK_TOL or w >= 1.0:
             break
 
     x, ratio, objective = best
     lam, q = sdp.principal_eigpair(x)
-    feasible = ratio >= params.rank_tol
+    feasible = ratio >= RANK_TOL
     return RankOneResult(x=x, vector=np.sqrt(max(lam, 0.0)) * q, ratio=ratio,
                          iterations=iterations, feasible=feasible,
                          objective=objective)
@@ -150,7 +136,7 @@ def _anchor_last(vec: np.ndarray) -> np.ndarray:
 
 def randomize_phases(problem: SdpProblem, relaxed_x: np.ndarray,
                      rng: np.random.Generator,
-                     n_draws: int = 200) -> np.ndarray:
+                     n_draws: int = N_RANDOMIZATIONS) -> np.ndarray:
     """Gaussian randomization fallback for the unit-modulus problem.
 
     Draws candidates from CN(0, X), projects every entry to unit modulus,

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ris_crn.antenna import (gain_3d_linear, vertical_attenuation_db,
-                             vertical_gain_linear)
-from ris_crn.scenario import PatternParams, ScenarioError
+from ris_crn.antenna import vertical_attenuation_db, vertical_gain_linear
+from ris_crn.scenario import PatternParams
 
 P10 = PatternParams(theta_3db_deg=10.0)
 
@@ -58,34 +57,6 @@ def test_attenuation_decreases_with_offset(tilt, off, factor):
     small = vertical_attenuation_db(tilt, tilt + off, P10)
     large = vertical_attenuation_db(tilt, tilt + off * factor, P10)
     assert large < small
-
-
-def test_3d_peak_is_max_gain():
-    p = PatternParams(theta_3db_deg=10.0, phi_3db_deg=70.0, a_m_linear=2.5)
-    assert gain_3d_linear(-30.0, 10.0, -30.0, 10.0, p) == pytest.approx(2.5)
-
-
-def test_3d_elevation_only_matches_vertical():
-    assert gain_3d_linear(-30.0, 0.0, -40.0, 0.0, P10) == pytest.approx(
-        10 ** -1.2, rel=1e-12)
-    grid = np.linspace(-90.0, 0.0, 31)
-    np.testing.assert_allclose(
-        gain_3d_linear(-30.0, 0.0, grid, 0.0, P10),
-        vertical_gain_linear(-30.0, grid, P10), rtol=1e-12)
-
-
-def test_3d_both_axes_offset():
-    p = PatternParams(theta_3db_deg=10.0, phi_3db_deg=70.0, a_m_linear=1.0)
-    assert gain_3d_linear(-30.0, 0.0, -40.0, 70.0, p) == pytest.approx(
-        10 ** -2.4, rel=1e-12)
-    assert gain_3d_linear(-30.0, 0.0, -40.0, 70.0, p) == pytest.approx(
-        3.981e-3, abs=1e-6)
-
-
-def test_3d_requires_azimuth_params():
-    p = PatternParams(theta_3db_deg=10.0, phi_3db_deg=None, a_m_linear=None)
-    with pytest.raises(ScenarioError):
-        gain_3d_linear(-30.0, 0.0, -40.0, 0.0, p)
 
 
 def test_array_broadcasting():

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ris_crn.channels import (ChannelError, channelset_from_json,
-                              channelset_to_json, generate_channels,
-                              los_matrix, path_loss_amplitude, pbs_beamformer,
+from ris_crn.channels import (ChannelError, generate_channels, los_matrix,
+                              path_loss_amplitude, pbs_beamformer,
                               rician_sample, ula_steering)
 from ris_crn.scenario import ChannelParams, apply_overrides, derive_geometry
 
@@ -141,10 +140,3 @@ def test_validate_rejects_wrong_shapes(scenario, channels):
     bad = apply_overrides(scenario, {"n_ris": scenario.n_ris + 1})
     with pytest.raises(ChannelError, match="shape"):
         channels.validate(bad)
-
-
-def test_json_round_trip(channels):
-    out = channelset_from_json(channelset_to_json(channels))
-    for name in ("G", "u", "v", "h_s", "h_p", "f_p", "f_s"):
-        np.testing.assert_array_equal(getattr(out, name),
-                                      getattr(channels, name))

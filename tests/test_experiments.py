@@ -43,6 +43,24 @@ def test_spec_from_dict_rejects_unknown_keys():
                              "step": 2})
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("trials", 2.7, "trials"),
+    ("trials", "x", "trials"),
+    ("trials", True, "trials"),
+    ("base_seed", 1.5, "base_seed"),
+    ("grid", -30, "grid"),
+    ("grid", "-30", "grid"),
+    ("grid", ["-30"], "grid"),
+    ("grid", [-30, -190], "-190"),
+    ("grid", [10], "10"),
+    ("methods", "proposed", "methods"),
+])
+def test_spec_from_dict_rejects_bad_values(key, value, message):
+    doc = {"kind": "tilt", "grid": [-30], "trials": 2, key: value}
+    with pytest.raises(SweepError, match=message):
+        sweepspec_from_dict(doc)
+
+
 def test_spec_json_loading(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"kind": "power", "grid": [0, 5],

@@ -3,8 +3,7 @@ import pytest
 
 from ris_crn.channels import ChannelSet, PbsBeamformer, generate_channels
 from ris_crn.metrics import (DesignState, effective_pu_row, effective_su_row,
-                             pattern_gains, pu_interference, pu_sinr, se_su,
-                             sinr_su)
+                             pattern_gains, pu_interference, se_su, sinr_su)
 from ris_crn.scenario import apply_overrides
 
 
@@ -151,17 +150,6 @@ def test_no_ris_reduces_to_plain_miso(scenario, rng):
     assert sinr_su(state, ch, w_p, sc) == pytest.approx(expected, rel=1e-12)
 
 
-def test_pu_sinr_diagnostic(scenario, channels, rng):
-    state = _state(scenario, rng)
-    w_p = PbsBeamformer(rng.standard_normal(scenario.n_p)
-                        + 1j * rng.standard_normal(scenario.n_p))
-    sig = abs(np.vdot(channels.h_p, w_p.w_p)) ** 2
-    expected = sig / (scenario.noise_w
-                      + pu_interference(state, channels, scenario))
-    assert pu_sinr(state, channels, w_p, scenario) == pytest.approx(
-        expected, rel=1e-12)
-
-
 def test_validate_rejects_power_overrun(scenario):
     w = np.full(scenario.n_s, np.sqrt(scenario.p_max_w), dtype=complex)
     state = DesignState(w, np.zeros(scenario.n_ris), scenario.theta_r_deg)
@@ -180,13 +168,3 @@ def test_ris_coefficients_unit_modulus(scenario, rng):
     state = _state(scenario, rng)
     np.testing.assert_allclose(np.abs(state.ris_coefficients), 1.0,
                                rtol=1e-15)
-
-
-def test_3d_gain_mode(scenario, rng):
-    sc = scenario.replace(phi_d_deg=-10.0, phi_r_deg=-60.0, phi_i_deg=-120.0)
-    state = _state(sc, rng)
-    state = DesignState(state.w_s, state.phases, sc.theta_r_deg,
-                        phi_azimuth_deg=-60.0)
-    a_d, a_r, a_i = pattern_gains(state, sc)
-    assert a_r == pytest.approx(sc.pattern.a_m_linear, rel=1e-12)
-    assert a_d < a_r and a_i < a_r

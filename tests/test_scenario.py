@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from ris_crn.scenario import (NodePosition, Scenario, ScenarioError,
                               apply_overrides, dbm_to_watts, dbw_to_watts,
                               derive_geometry, elevation_deg, paper_default,
-                              scenario_from_dict, scenario_to_dict,
-                              watts_to_dbw)
+                              scenario_from_dict, scenario_to_dict)
 
 
 def test_distance_sbs_to_ris(scenario):
@@ -47,7 +46,7 @@ def test_unit_conversions():
 
 @given(st.floats(min_value=-100, max_value=100))
 def test_dbw_round_trip(x):
-    assert watts_to_dbw(dbw_to_watts(x)) == pytest.approx(x, abs=1e-12)
+    assert 10.0 * math.log10(dbw_to_watts(x)) == pytest.approx(x, abs=1e-12)
 
 
 def test_distance_symmetry(scenario):
@@ -103,6 +102,9 @@ def test_unknown_key_rejected(scenario):
     doc["gamma_W"] = doc.pop("gamma_w")
     with pytest.raises(ScenarioError, match="gamma_W"):
         scenario_from_dict(doc)
+    for key in ("phi_d_deg", "phi_r_deg", "phi_i_deg"):
+        with pytest.raises(ScenarioError, match=key):
+            apply_overrides(scenario, {key: -10.0})
 
 
 def test_unknown_nested_key_rejected(scenario):
@@ -110,6 +112,17 @@ def test_unknown_nested_key_rejected(scenario):
     doc["channel"]["alfa"] = 3
     with pytest.raises(ScenarioError, match="alfa"):
         scenario_from_dict(doc)
+    for key in ("phi_3db_deg", "a_m_linear"):
+        with pytest.raises(ScenarioError, match=key):
+            apply_overrides(scenario, {"pattern": {key: 1.0}})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_ris", 20.0), ("n_ris", True), ("n_s", 2.5), ("n_p", "2"),
+    ("n_s", 0), ("n_p", 0), ("n_ris", -1)])
+def test_bad_sizes_rejected(scenario, key, value):
+    with pytest.raises(ScenarioError, match=key):
+        apply_overrides(scenario, {key: value})
 
 
 def test_missing_angle_in_configured_mode(scenario):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ris_crn.sdp import (SdpConstraint, SdpProblem, check_hermitian,
-                         hermitian_to_real, principal_eigpair, solve)
+                         principal_eigpair, solve)
 
 
 def _random_hermitian(n, rng):
@@ -15,39 +15,7 @@ def _random_psd(n, rng):
     return m @ m.conj().T
 
 
-# -- real embedding -------------------------------------------------------
-
-def test_embedding_real_scalar():
-    np.testing.assert_array_equal(hermitian_to_real(np.array([[1.0 + 0j]])),
-                                  np.eye(2))
-
-
-def test_embedding_pauli_spectrum():
-    c = np.array([[0, -1j], [1j, 0]])
-    vals = np.sort(np.linalg.eigvalsh(hermitian_to_real(c)))
-    np.testing.assert_allclose(vals, [-1, -1, 1, 1], atol=1e-12)
-
-
-def test_embedding_doubles_spectrum(rng):
-    c = _random_hermitian(3, rng)
-    vals = np.sort(np.linalg.eigvalsh(hermitian_to_real(c)))
-    expected = np.sort(np.repeat(np.linalg.eigvalsh(c), 2))
-    np.testing.assert_allclose(vals, expected, atol=1e-10)
-
-
-def test_embedding_preserves_inner_products(rng):
-    a = _random_hermitian(4, rng)
-    b = _random_hermitian(4, rng)
-    lhs = 0.5 * np.trace(hermitian_to_real(a) @ hermitian_to_real(b))
-    rhs = np.trace(a @ b).real
-    assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_embedding_rejects_non_hermitian(rng):
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    with pytest.raises(ValueError):
-        hermitian_to_real(m)
-
+# -- input checks ---------------------------------------------------------
 
 def test_check_hermitian(rng):
     check_hermitian(_random_hermitian(3, rng))
@@ -125,18 +93,6 @@ def test_solver_deterministic(rng):
     s2 = solve(problem)
     np.testing.assert_array_equal(s1.x, s2.x)
     assert s1.objective == s2.objective
-
-
-def test_problem_json_round_trip(rng):
-    problem = SdpProblem(_random_hermitian(3, rng),
-                         [SdpConstraint(_random_hermitian(3, rng), "<=", 2.0),
-                          SdpConstraint(np.eye(3), "=", 1.0)])
-    back = SdpProblem.from_json(problem.to_json())
-    np.testing.assert_allclose(back.c, problem.c, atol=1e-15)
-    for c1, c2 in zip(back.constraints, problem.constraints):
-        np.testing.assert_allclose(c1.a, c2.a, atol=1e-15)
-        assert c1.relation == c2.relation
-        assert c1.b == c2.b
 
 
 # -- principal eigenpair --------------------------------------------------

@@ -5,9 +5,8 @@ from ris_crn.channels import generate_channels
 from ris_crn.metrics import DesignState
 from ris_crn.optimizer import build_phase_problem, build_ws_problem
 from ris_crn.sdp import SdpConstraint, SdpProblem, solve
-from ris_crn.srocr import (RankOneResult, SrocrError, SrocrParams,
-                           extract_vector, randomize_phases, rank_one_ratio,
-                           refine)
+from ris_crn.srocr import (RankOneResult, SrocrError, extract_vector,
+                           randomize_phases, rank_one_ratio, refine)
 
 
 def test_ratio_rank_one(rng):
@@ -162,14 +161,3 @@ def test_randomization_tight_cap_still_returns_unit_modulus(iid_scenario, rng):
     x = randomize_phases(problem, relaxed.x, rng, n_draws=50)
     np.testing.assert_allclose(np.abs(x), 1.0, rtol=1e-12)
     assert x[-1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_params_validation():
-    with pytest.raises(SrocrError):
-        SrocrParams(w_init=1.0)
-    with pytest.raises(SrocrError):
-        SrocrParams(delta_init=0.0)
-    with pytest.raises(SrocrError):
-        SrocrParams(shrink=1.0)
-    with pytest.raises(SrocrError):
-        SrocrParams(rank_tol=0.5)
