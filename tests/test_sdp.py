@@ -23,6 +23,18 @@ def test_check_hermitian(rng):
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_embedding_rejects_non_hermitian(rng):
+    # Every matrix that enters the solver, as objective, constraint or
+    # eigenpair input, is rejected if it is not Hermitian.
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    with pytest.raises(ValueError):
+        SdpProblem(m)
+    with pytest.raises(ValueError):
+        SdpConstraint(m, "<=", 1.0)
+    with pytest.raises(ValueError):
+        principal_eigpair(m)
+
+
 # -- solver ---------------------------------------------------------------
 
 def test_rank_one_objective_trace_ball(rng):
