@@ -47,10 +47,10 @@ class DesignState:
         return replace(self, w_s=np.asarray(w_s, dtype=complex))
 
 
-def pattern_gains(state: DesignState, scenario: Scenario,
-                  geometry=None) -> tuple[float, float, float]:
+def pattern_gains(state: DesignState,
+                  scenario: Scenario) -> tuple[float, float, float]:
     """(A_d, A_r, A_i) power gains for the current tilt."""
-    th_d, th_r, th_i = scenario.elevation_angles_deg(geometry)
+    th_d, th_r, th_i = scenario.elevation_angles_deg()
     g = lambda th_x: vertical_gain_linear(state.theta_tilt_deg, th_x,
                                           scenario.pattern)
     return g(th_d), g(th_r), g(th_i)
@@ -67,20 +67,20 @@ def _effective_row(direct: np.ndarray, cascade_rx: np.ndarray,
 
 
 def effective_su_row(state: DesignState, channels: ChannelSet,
-                     scenario: Scenario, geometry=None) -> np.ndarray:
-    a_d, a_r, _ = pattern_gains(state, scenario, geometry)
+                     scenario: Scenario) -> np.ndarray:
+    a_d, a_r, _ = pattern_gains(state, scenario)
     return _effective_row(channels.h_s, channels.u, state, channels, a_d, a_r)
 
 
 def effective_pu_row(state: DesignState, channels: ChannelSet,
-                     scenario: Scenario, geometry=None) -> np.ndarray:
-    a_d, a_r, a_i = pattern_gains(state, scenario, geometry)
+                     scenario: Scenario) -> np.ndarray:
+    a_d, a_r, a_i = pattern_gains(state, scenario)
     return _effective_row(channels.f_p, channels.v, state, channels, a_i, a_r)
 
 
 def sinr_su(state: DesignState, channels: ChannelSet, w_p: PbsBeamformer,
-            scenario: Scenario, geometry=None) -> float:
-    a = effective_su_row(state, channels, scenario, geometry)
+            scenario: Scenario) -> float:
+    a = effective_su_row(state, channels, scenario)
     signal = abs(np.dot(a, state.w_s)) ** 2
     interference = abs(np.vdot(channels.f_s, w_p.w_p)) ** 2
     return float(signal / (scenario.noise_w + interference))
@@ -91,6 +91,6 @@ def se_su(sinr: float) -> float:
 
 
 def pu_interference(state: DesignState, channels: ChannelSet,
-                    scenario: Scenario, geometry=None) -> float:
-    b = effective_pu_row(state, channels, scenario, geometry)
+                    scenario: Scenario) -> float:
+    b = effective_pu_row(state, channels, scenario)
     return float(abs(np.dot(b, state.w_s)) ** 2)

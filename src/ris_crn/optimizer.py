@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp, srocr
-from .channels import ChannelSet, PbsBeamformer, pbs_beamformer
+from .channels import ChannelSet, pbs_beamformer
 from .metrics import (DesignState, effective_pu_row, effective_su_row,
                       pattern_gains, pu_interference, se_su, sinr_su)
-from .scenario import Scenario, derive_geometry
+from .scenario import Scenario
 
 EPSILON = 1e-3         # relative SE gain below which the loop stops
 MAX_OUTER_ITERS = 20
@@ -65,10 +65,10 @@ def expected_cascade_power(w_s: np.ndarray, sigma2: float, n_ris: int) -> float:
     return sigma2 ** 2 * n_ris * float(np.vdot(w_s, w_s).real)
 
 
-def select_tilt(scenario: Scenario, geometry=None) -> TiltDecision:
+def select_tilt(scenario: Scenario) -> TiltDecision:
     """Point the tilt at the RIS or at the SU, whichever path carries more
     expected power under the iid model (sigma^4 N against sigma^2)."""
-    th_d, th_r, _ = scenario.elevation_angles_deg(geometry)
+    th_d, th_r, _ = scenario.elevation_angles_deg()
     w_ref = np.ones(1)
     direct = expected_direct_power(w_ref, scenario.channel.channel_sigma2)
     cascade = expected_cascade_power(w_ref, scenario.channel.channel_sigma2,
@@ -82,10 +82,10 @@ def select_tilt(scenario: Scenario, geometry=None) -> TiltDecision:
 # -- subproblem builders --------------------------------------------------
 
 def build_ws_problem(state: DesignState, channels: ChannelSet,
-                     scenario: Scenario, geometry=None) -> sdp.SdpProblem:
+                     scenario: Scenario) -> sdp.SdpProblem:
     """Beamformer subproblem: max a W a^H s.t. b W b^H <= Gamma, tr W <= P."""
-    a = effective_su_row(state, channels, scenario, geometry)
-    b = effective_pu_row(state, channels, scenario, geometry)
+    a = effective_su_row(state, channels, scenario)
+    b = effective_pu_row(state, channels, scenario)
     n_s = scenario.n_s
     return sdp.SdpProblem(
         np.outer(a.conj(), a),
@@ -94,7 +94,7 @@ def build_ws_problem(state: DesignState, channels: ChannelSet,
 
 
 def build_phase_problem(state: DesignState, channels: ChannelSet,
-                        scenario: Scenario, geometry=None):
+                        scenario: Scenario):
     """Phase subproblem in homogenized form.
 
     Returns (SdpProblem over X of size N+1, l1, l2) with objective
@@ -102,7 +102,7 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
     unit-diagonal constraints.  For every unit-modulus x = [e^{j alpha}; 1],
     l1 + x^H H1 x equals |a(alpha) w_s|^2 exactly.
     """
-    a_d, a_r, a_i = pattern_gains(state, scenario, geometry)
+    a_d, a_r, a_i = pattern_gains(state, scenario)
     w = state.w_s
     gw = channels.G @ w
     n = scenario.n_ris
@@ -139,23 +139,9 @@ def initial_phases(n_ris: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, size=n_ris)
 
 
-def _feasible_beamformer(vec: np.ndarray, b_row: np.ndarray,
-                         scenario: Scenario) -> np.ndarray:
-    """Scale down so both the power budget and C1 hold."""
-    power = float(np.vdot(vec, vec).real)
-    scale = 1.0
-    if power > 0:
-        scale = min(scale, np.sqrt(scenario.p_max_w / power))
-    leak = abs(np.dot(b_row, vec)) ** 2
-    if leak > 0:
-        scale = min(scale, np.sqrt(scenario.gamma_w / leak))
-    return vec * min(scale, 1.0)
-
-
 def _solve_ws(state: DesignState, channels: ChannelSet, scenario: Scenario,
-              geometry, diag: dict) -> np.ndarray:
-    problem = build_ws_problem(state, channels, scenario, geometry)
-    b_row = effective_pu_row(state, channels, scenario, geometry)
+              diag: dict) -> np.ndarray:
+    problem = build_ws_problem(state, channels, scenario)
     relaxed = sdp.solve(problem)
     diag["ws_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
@@ -164,17 +150,15 @@ def _solve_ws(state: DesignState, channels: ChannelSet, scenario: Scenario,
     diag["ws_srocr_ratio"] = result.ratio
     diag["ws_srocr_iters"] = result.iterations
     if result.feasible:
-        vec = srocr.extract_vector(result, "beamformer")
-    else:
-        _, q = sdp.principal_eigpair(result.x)
-        vec = np.sqrt(max(np.trace(result.x).real, 0.0)) * q
-    return _feasible_beamformer(vec, b_row, scenario)
+        return srocr.extract_vector(result, "beamformer")
+    _, q = sdp.principal_eigpair(result.x)
+    return np.sqrt(max(np.trace(result.x).real, 0.0)) * q
 
 
 def _solve_phases(state: DesignState, channels: ChannelSet,
-                  scenario: Scenario, geometry, rng: np.random.Generator,
+                  scenario: Scenario, rng: np.random.Generator,
                   diag: dict) -> np.ndarray:
-    problem, _, _ = build_phase_problem(state, channels, scenario, geometry)
+    problem, _, _ = build_phase_problem(state, channels, scenario)
     relaxed = sdp.solve(problem)
     diag["phase_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
@@ -192,8 +176,7 @@ def _solve_phases(state: DesignState, channels: ChannelSet,
 
 
 def run_algorithm1(channels: ChannelSet, scenario: Scenario,
-                   seed: int = 0, w_p: PbsBeamformer = None,
-                   fixed_tilt_deg: float = None,
+                   seed: int = 0, fixed_tilt_deg: float = None,
                    update_phases: bool = True,
                    zero_phase_start: bool = False) -> OptimizerResult:
     """Alternating beamformer/phase optimization at a fixed tilt.
@@ -204,55 +187,52 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     repair and reporting are identical across methods.  The phases start
     at the seeded random draw, or at zero with ``zero_phase_start``.
     """
-    geometry = derive_geometry(scenario)
     channels.validate(scenario)
-    if w_p is None:
-        w_p = pbs_beamformer(channels.h_p, scenario.pp_dbw)
+    w_p = pbs_beamformer(channels.h_p, scenario.pp_dbw)
 
     phases0 = (np.zeros(scenario.n_ris) if zero_phase_start
                else initial_phases(scenario.n_ris, seed))
     if fixed_tilt_deg is not None:
         tilt = TiltDecision(float(fixed_tilt_deg), "fixed", np.nan, np.nan)
     else:
-        tilt = select_tilt(scenario, geometry)
+        tilt = select_tilt(scenario)
     state = DesignState(np.zeros(scenario.n_s, dtype=complex), phases0,
                         tilt.theta_tilt_deg)
     fallback_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(8,))))
 
-    def se_of(st):
-        return se_su(sinr_su(st, channels, w_p, scenario, geometry))
+    def accept(cand: DesignState, current: DesignState, se: float):
+        """Repair cand, then keep it only if the SE does not drop.
 
-    def restore(st: DesignState) -> DesignState:
-        # phase moves perturb the effective PU row; rescale the beamformer
-        # so C1 and C4 hold with margin at every accepted iterate
+        A recovered beamformer can overshoot C1 or the budget, and a phase
+        move changes the effective PU row under the kept beamformer, so
+        the beamformer is scaled down until both hold with margin; returns
+        the kept state and its SE.
+        """
         scale2 = 1.0
-        power = float(np.vdot(st.w_s, st.w_s).real)
+        power = float(np.vdot(cand.w_s, cand.w_s).real)
         if power > scenario.p_max_w:
             scale2 = min(scale2, scenario.p_max_w / power)
-        leak = pu_interference(st, channels, scenario, geometry)
+        leak = pu_interference(cand, channels, scenario)
         if leak > scenario.gamma_w * (1.0 - 1e-9):
             scale2 = min(scale2, scenario.gamma_w * (1.0 - 1e-9) / leak)
-        if scale2 >= 1.0:
-            return st
-        return st.with_beamformer(st.w_s * np.sqrt(scale2))
+        if scale2 < 1.0:
+            cand = cand.with_beamformer(cand.w_s * np.sqrt(scale2))
+        se_cand = se_su(sinr_su(cand, channels, w_p, scenario))
+        return (cand, se_cand) if se_cand >= se else (current, se)
 
+    se_now = 0.0       # the zero beamformer carries no signal
     se_prev = 0.0
     se_trace: list[float] = []
     diagnostics: list[dict] = []
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
-        cand = restore(state.with_beamformer(
-            _solve_ws(state, channels, scenario, geometry, diag)))
-        if se_of(cand) >= se_of(state):
-            state = cand
+        state, se_now = accept(state.with_beamformer(
+            _solve_ws(state, channels, scenario, diag)), state, se_now)
         if update_phases and scenario.n_ris > 0:
-            cand = restore(state.with_phases(
-                _solve_phases(state, channels, scenario, geometry,
-                              fallback_rng, diag)))
-            if se_of(cand) >= se_of(state):
-                state = cand
-        se_now = se_of(state)
+            state, se_now = accept(state.with_phases(
+                _solve_phases(state, channels, scenario, fallback_rng, diag)),
+                state, se_now)
         se_trace.append(se_now)
         diag["se"] = se_now
         diagnostics.append(diag)
@@ -263,7 +243,7 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
         if err < EPSILON:
             break
 
-    leak = pu_interference(state, channels, scenario, geometry)
+    leak = pu_interference(state, channels, scenario)
     power = float(np.vdot(state.w_s, state.w_s).real)
     feasible = (leak <= scenario.gamma_w * (1.0 + 1e-6)
                 and power <= scenario.p_max_w * (1.0 + 1e-6)

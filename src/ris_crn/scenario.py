@@ -149,12 +149,11 @@ class Scenario:
     def noise_w(self) -> float:
         return dbm_to_watts(self.noise_dbm)
 
-    def elevation_angles_deg(self, geometry: "DerivedGeometry" = None):
+    def elevation_angles_deg(self):
         """(theta_d, theta_r, theta_i) in the active angle mode."""
         if self.angle_mode == "configured":
             return (self.theta_d_deg, self.theta_r_deg, self.theta_i_deg)
-        if geometry is None:
-            geometry = derive_geometry(self)
+        geometry = derive_geometry(self)
         return (geometry.elev_sbs_su_deg, geometry.elev_sbs_ris_deg,
                 geometry.elev_sbs_pu_deg)
 

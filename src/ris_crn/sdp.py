@@ -244,7 +244,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
             mask = ineq & (dvals < 0)
             if not mask.any():
                 return np.inf
-            return float(np.min(-vals[mask] / dvals[mask]))
+            # far off boresight the data is ~1e-235 and the ratio can
+            # overflow; inf means the step is unbounded in that direction
+            with np.errstate(over="ignore"):
+                return float(np.min(-vals[mask] / dvals[mask]))
 
         def step_lengths(dx, dy, dz, ds):
             ap = min(_max_step_factored(linv_x, dx), vec_step(s, ds))

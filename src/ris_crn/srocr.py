@@ -135,8 +135,7 @@ def _anchor_last(vec: np.ndarray) -> np.ndarray:
 
 
 def randomize_phases(problem: SdpProblem, relaxed_x: np.ndarray,
-                     rng: np.random.Generator,
-                     n_draws: int = N_RANDOMIZATIONS) -> np.ndarray:
+                     rng: np.random.Generator) -> np.ndarray:
     """Gaussian randomization fallback for the unit-modulus problem.
 
     Draws candidates from CN(0, X), projects every entry to unit modulus,
@@ -153,8 +152,8 @@ def randomize_phases(problem: SdpProblem, relaxed_x: np.ndarray,
     least_viol, least_vec = np.inf, None
     _, q = sdp.principal_eigpair(x_psd)
     candidates = [q]
-    g = (rng.standard_normal((n_draws, n))
-         + 1j * rng.standard_normal((n_draws, n))) / np.sqrt(2.0)
+    g = (rng.standard_normal((N_RANDOMIZATIONS, n))
+         + 1j * rng.standard_normal((N_RANDOMIZATIONS, n))) / np.sqrt(2.0)
     candidates.extend(g @ root.conj().T)
     for cand in candidates:
         mod = np.abs(cand)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -163,3 +164,14 @@ def test_elements_sweep_uses_grid_sizes(iid_scenario):
                      methods=("random_phase",))
     result = run_sweep(spec, iid_scenario)
     assert [r.grid_value for r in result.rows] == [1.0, 3.0]
+
+
+def test_far_off_boresight_trial_warns_nothing(iid_scenario):
+    # at -170 deg every pattern gain is ~1e-235, and the IPM's step-length
+    # ratios overflow to inf (an unbounded step)
+    sc = apply_overrides(iid_scenario, {"n_s": 4, "n_ris": 8})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_trial(sc, "proposed", 0, fixed_tilt_deg=-170.0)
+    assert res.feasible
+    assert res.se_bps_hz == 0.0

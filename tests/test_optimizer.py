@@ -7,7 +7,7 @@ from ris_crn.metrics import (DesignState, effective_su_row, pu_interference,
 from ris_crn.optimizer import (build_phase_problem, build_ws_problem,
                                expected_cascade_power, expected_direct_power,
                                initial_phases, run_algorithm1, select_tilt)
-from ris_crn.scenario import apply_overrides
+from ris_crn.scenario import apply_overrides, derive_geometry
 from ris_crn.sdp import solve
 
 
@@ -129,7 +129,7 @@ def test_no_ris_huge_cap_recovers_mrt(scenario):
     sc = apply_overrides(scenario, {"n_ris": 0, "gamma_w": 1e9})
     ch = generate_channels(sc, seed=13)
     w_p = pbs_beamformer(ch.h_p, sc.pp_dbw)
-    res = run_algorithm1(ch, sc, seed=13, w_p=w_p)
+    res = run_algorithm1(ch, sc, seed=13)
     assert res.feasible
     # closed-form maximum-ratio benchmark at full power toward the user
     from ris_crn.antenna import vertical_gain_linear
@@ -145,7 +145,7 @@ def test_single_element_matches_joint_grid(iid_scenario):
                                         "gamma_w": 1e9})
     ch = generate_channels(sc, seed=14)
     w_p = pbs_beamformer(ch.h_p, sc.pp_dbw)
-    res = run_algorithm1(ch, sc, seed=14, w_p=w_p)
+    res = run_algorithm1(ch, sc, seed=14)
     # oracle: full power, every reflection phase on a 0.5 degree grid
     best = 0.0
     for alpha in np.radians(np.arange(0.0, 360.0, 0.5)):
@@ -197,3 +197,16 @@ def test_zero_phase_start(iid_scenario):
                          zero_phase_start=True)
     np.testing.assert_array_equal(res.state.phases,
                                   np.zeros(iid_scenario.n_ris))
+
+
+def test_geometric_angle_mode_matches_configured_angles(iid_scenario):
+    geo = iid_scenario.replace(angle_mode="geometric")
+    g = derive_geometry(geo)
+    conf = iid_scenario.replace(theta_d_deg=g.elev_sbs_su_deg,
+                                theta_r_deg=g.elev_sbs_ris_deg,
+                                theta_i_deg=g.elev_sbs_pu_deg)
+    ch = generate_channels(geo, seed=5)
+    r_geo = run_algorithm1(ch, geo, seed=5)
+    r_conf = run_algorithm1(ch, conf, seed=5)
+    assert r_geo.se > 0.0
+    assert r_geo.se_trace == r_conf.se_trace

@@ -140,7 +140,7 @@ def test_randomization_fallback_feasible(iid_scenario, rng):
     problem, _, _ = build_phase_problem(state, ch, sc)
     relaxed = solve(problem)
     assert relaxed.status == "optimal"
-    x = randomize_phases(problem, relaxed.x, rng, n_draws=50)
+    x = randomize_phases(problem, relaxed.x, rng)
     np.testing.assert_allclose(np.abs(x), 1.0, rtol=1e-12)
     assert x[-1] == pytest.approx(1.0, abs=1e-12)
     assert problem.constraint_violation(np.outer(x, x.conj())) <= 1e-8
@@ -158,6 +158,6 @@ def test_randomization_tight_cap_still_returns_unit_modulus(iid_scenario, rng):
     problem, _, _ = build_phase_problem(state, ch, iid_scenario)
     relaxed = solve(problem)
     assert relaxed.status == "optimal"
-    x = randomize_phases(problem, relaxed.x, rng, n_draws=50)
+    x = randomize_phases(problem, relaxed.x, rng)
     np.testing.assert_allclose(np.abs(x), 1.0, rtol=1e-12)
     assert x[-1] == pytest.approx(1.0, abs=1e-12)
