@@ -108,25 +108,15 @@ def principal_eigpair(x: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, q
 
 
-def _chol_inverse(mat: np.ndarray):
-    """Inverse of the lower Cholesky factor, or None if not PD."""
-    try:
-        ell = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
-    linv, info = sla.lapack.ztrtri(ell, lower=1)
-    if info != 0:
-        return None
-    return np.tril(linv)
+def _max_steps(linv: np.ndarray, dmats: np.ndarray) -> list[float]:
+    """Largest alpha with mat + alpha*dmat PSD, for each stacked pair.
 
-
-def _max_step_factored(linv: np.ndarray, dmat: np.ndarray) -> float:
-    """Largest alpha with mat + alpha*dmat PSD, mat = (linv^-1)(linv^-1)^H."""
-    w = linv @ dmat @ linv.conj().T
-    lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.conj().T))[0])
-    if lam_min >= 0:
-        return np.inf
-    return -1.0 / lam_min
+    ``linv`` stacks the inverse lower Cholesky factors of the matrices,
+    mat = (linv^-1)(linv^-1)^H; the step is inf when dmat is PSD.
+    """
+    w = linv @ dmats @ linv.conj().swapaxes(-1, -2)
+    lam_min = np.linalg.eigvalsh(0.5 * (w + w.conj().swapaxes(-1, -2)))[:, 0]
+    return [np.inf if lam >= 0 else -1.0 / lam for lam in lam_min]
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -171,14 +161,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     b_norm = 1.0 + float(np.linalg.norm(bvec))
     c_norm = 1.0 + float(np.linalg.norm(cmat))
+    cconj_flat = cmat.conj().ravel()
     status = "max-iterations"
     iters = 0
 
     for iters in range(1, MAX_ITERS + 1):
         rp = bvec - opA(x) - s                     # primal residual
         rd = cmat - opAt(y) + z                    # dual residual (Hermitian)
-        mu = (float(np.tensordot(x.conj(), z).real) + float(s @ y)) / (n + max(k, 1))
-        pobj = float(np.tensordot(cmat.conj(), x).real)
+        mu = (float(np.dot(x.conj().ravel(), z.ravel()).real)
+              + float(s @ y)) / (n + max(k, 1))
+        pobj = float(np.dot(cconj_flat, x.ravel()).real)
         dobj = float(bvec @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pres = float(np.linalg.norm(rp)) / b_norm
@@ -194,11 +186,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = "numerical-failure"
             break
 
-        linv_x = _chol_inverse(x)
-        linv_z = _chol_inverse(z)
-        if linv_x is None or linv_z is None:
+        # inverse lower Cholesky factors of X and Z; the factors' upper
+        # triangles are zero and ztrtri leaves them so
+        try:
+            ell = np.linalg.cholesky(np.stack((x, z)))
+        except np.linalg.LinAlgError:
             status = "numerical-failure"
             break
+        linv_x, info_x = sla.lapack.ztrtri(ell[0], lower=1)
+        linv_z, info_z = sla.lapack.ztrtri(ell[1], lower=1)
+        if info_x or info_z:
+            status = "numerical-failure"
+            break
+        linv = np.stack((linv_x, linv_z))
         zinv = linv_z.conj().T @ linv_z
         zinv = 0.5 * (zinv + zinv.conj().T)
 
@@ -214,9 +214,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
         inv_y = np.zeros(m)
         inv_y[ineq] = 1.0 / y[ineq]
 
-        try:
-            lu = sla.lu_factor(big_m, check_finite=False)
-        except (ValueError, np.linalg.LinAlgError):
+        # a zero pivot (info > 0): the Schur complement is singular, as it
+        # is for a redundant constraint set
+        lu, piv, info = sla.lapack.dgetrf(big_m)
+        if info != 0:
             status = "numerical-failure"
             break
 
@@ -228,7 +229,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             if corr_sdp is not None:
                 corr_term = corr_sdp @ zinv
                 rhs = rhs - (aconj_flat @ corr_term.ravel()).real
-            dy = sla.lu_solve(lu, rhs, check_finite=False)
+            dy = sla.lapack.dgetrs(lu, piv, rhs)[0]
             dz = opAt(dy) - rd
             dz = 0.5 * (dz + dz.conj().T)
             dx = sigma_mu * zinv - x - x @ dz @ zinv
@@ -240,25 +241,24 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 ds[ineq] = rp[ineq] - (aconj_flat[ineq] @ dx.ravel()).real
             return dx, dy, dz, ds
 
-        def vec_step(vals, dvals):
-            mask = ineq & (dvals < 0)
-            if not mask.any():
-                return np.inf
+        def step_lengths(dx, dy, dz, ds):
+            ap, ad = _max_steps(linv, np.stack((dx, dz)))
+            mask_s = ineq & (ds < 0)
+            mask_y = ineq & (dy < 0)
             # far off boresight the data is ~1e-235 and the ratio can
             # overflow; inf means the step is unbounded in that direction
             with np.errstate(over="ignore"):
-                return float(np.min(-vals[mask] / dvals[mask]))
-
-        def step_lengths(dx, dy, dz, ds):
-            ap = min(_max_step_factored(linv_x, dx), vec_step(s, ds))
-            ad = min(_max_step_factored(linv_z, dz), vec_step(y, dy))
+                ratio_s = -s[mask_s] / ds[mask_s]
+                ratio_y = -y[mask_y] / dy[mask_y]
+            ap = min(ap, float(ratio_s.min(initial=np.inf)))
+            ad = min(ad, float(ratio_y.min(initial=np.inf)))
             return min(1.0, 0.98 * ap), min(1.0, 0.98 * ad)
 
         # predictor
         dx_a, dy_a, dz_a, ds_a = direction(0.0)
         ap, ad = step_lengths(dx_a, dy_a, dz_a, ds_a)
-        mu_aff = (float(np.tensordot((x + ap * dx_a).conj(),
-                                     z + ad * dz_a).real)
+        mu_aff = (float(np.dot((x + ap * dx_a).conj().ravel(),
+                               (z + ad * dz_a).ravel()).real)
                   + float((s + ap * ds_a) @ (y + ad * dy_a))) / (n + max(k, 1))
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
 
@@ -277,10 +277,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
         y[ineq] = np.maximum(y[ineq], 1e-300)
 
     x_out = 0.5 * (x + x.conj().T)
-    objective = float(np.tensordot(problem.c.conj(), x_out).real)
+    objective = float(np.dot(problem.c.conj().ravel(), x_out.ravel()).real)
     rp = bvec - opA(x) - s
     rd = cmat - opAt(y) + z
-    pobj = float(np.tensordot(cmat.conj(), x).real)
+    pobj = float(np.dot(cconj_flat, x.ravel()).real)
     dobj = float(bvec @ y)
     return SdpSolution(
         x=x_out,

@@ -41,15 +41,21 @@ class RankOneResult:
 
 def rank_one_ratio(x: np.ndarray) -> float:
     """lambda_1 / tr as a rank-one progress measure, in [1/n, 1]."""
+    return _ratio_eigpair(x)[0]
+
+
+def _ratio_eigpair(x: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """rank_one_ratio(x) with the principal eigenpair it is computed from."""
     tr = float(np.trace(x).real)
     if tr <= 0:
         raise SrocrError(f"trace must be > 0, got {tr}")
-    lam, _ = sdp.principal_eigpair(x)
-    return min(lam / tr, 1.0)
+    lam, q = sdp.principal_eigpair(x)
+    return min(lam / tr, 1.0), lam, q
 
 
-def _align_direction(x: np.ndarray, unit_modulus: bool) -> np.ndarray:
-    """Eigenvector-based alignment direction for the next tightening round.
+def _align_direction(q: np.ndarray, unit_modulus: bool) -> np.ndarray:
+    """Alignment direction for the next tightening round from the principal
+    eigenvector q of the current solution.
 
     For unit-modulus problems the raw eigenvector can have a (near) zero
     entry, e.g. the homogenizing entry when the direct link is attenuated
@@ -57,7 +63,6 @@ def _align_direction(x: np.ndarray, unit_modulus: bool) -> np.ndarray:
     the schedule.  Projecting every entry onto equal modulus keeps full
     alignment achievable by a feasible rank-one point.
     """
-    _, q = sdp.principal_eigpair(x)
     if not unit_modulus:
         return q
     n = q.size
@@ -72,26 +77,21 @@ def refine(problem: SdpProblem, relaxed: SdpSolution,
     if relaxed.status != "optimal":
         raise SrocrError(f"relaxed solution status is {relaxed.status}")
 
-    x = relaxed.x
-    ratio = rank_one_ratio(x)
-    if ratio >= RANK_TOL:
-        lam, q = sdp.principal_eigpair(x)
-        return RankOneResult(x=x, vector=np.sqrt(max(lam, 0.0)) * q,
-                             ratio=ratio, iterations=0, feasible=True,
-                             objective=relaxed.objective)
-
+    # x is the last accepted solution; its eigenpair serves both the next
+    # round's alignment and the final extraction
+    x, objective = relaxed.x, relaxed.objective
+    ratio, lam, q = _ratio_eigpair(x)
     w = ratio
     delta = DELTA_INIT
-    best = (x, ratio, relaxed.objective)
     n = problem.dim
     iterations = 0
-    while iterations < MAX_ROUNDS:
+    while ratio < RANK_TOL and w < 1.0 and iterations < MAX_ROUNDS:
         iterations += 1
-        q = _align_direction(best[0], unit_modulus)
+        align = _align_direction(q, unit_modulus)
         w_try = min(1.0, w + delta)
-        # q^H X q >= w * tr(X)  <=>  tr((q q^H - w I) X) >= 0
+        # a^H X a >= w * tr(X)  <=>  tr((a a^H - w I) X) >= 0
         aligned = problem.with_constraint(
-            np.outer(q, q.conj()) - w_try * np.eye(n), ">=", 0.0)
+            np.outer(align, align.conj()) - w_try * np.eye(n), ">=", 0.0)
         sol = sdp.solve(aligned)
         if sol.status != "optimal":
             delta *= SHRINK
@@ -99,16 +99,11 @@ def refine(problem: SdpProblem, relaxed: SdpSolution,
                 break
             continue
         w = w_try
-        ratio = rank_one_ratio(sol.x)
-        best = (sol.x, ratio, sol.objective)
-        if ratio >= RANK_TOL or w >= 1.0:
-            break
+        x, objective = sol.x, sol.objective
+        ratio, lam, q = _ratio_eigpair(x)
 
-    x, ratio, objective = best
-    lam, q = sdp.principal_eigpair(x)
-    feasible = ratio >= RANK_TOL
     return RankOneResult(x=x, vector=np.sqrt(max(lam, 0.0)) * q, ratio=ratio,
-                         iterations=iterations, feasible=feasible,
+                         iterations=iterations, feasible=ratio >= RANK_TOL,
                          objective=objective)
 
 

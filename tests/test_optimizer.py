@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ris_crn import sdp
 from ris_crn.channels import generate_channels, pbs_beamformer
+from ris_crn.experiments import run_trial
 from ris_crn.metrics import (DesignState, effective_su_row, pu_interference,
                              se_su, sinr_su)
 from ris_crn.optimizer import (build_phase_problem, build_ws_problem,
@@ -210,3 +212,27 @@ def test_geometric_angle_mode_matches_configured_angles(iid_scenario):
     r_conf = run_algorithm1(ch, conf, seed=5)
     assert r_geo.se > 0.0
     assert r_geo.se_trace == r_conf.se_trace
+
+
+def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
+    """Exact IPM iteration totals and SDP statuses of two fixed runs.
+
+    Integer counts catch a change of the interior-point path that the SE
+    comparison at rtol 1e-6 would let through."""
+    log = []
+    real = sdp.solve
+
+    def spy(problem):
+        sol = real(problem)
+        log.append((sol.status, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    run_algorithm1(generate_channels(scenario, seed=0), scenario, seed=0)
+    assert [s for s, _ in log] == ["optimal"] * 21
+    assert sum(i for _, i in log) == 189
+    log.clear()
+    iid4 = apply_overrides(iid_scenario, {"n_s": 4})
+    run_trial(iid4, "proposed", seed=0, fixed_tilt_deg=-30.0)
+    assert [s for s, _ in log] == ["optimal"] * 12
+    assert sum(i for _, i in log) == 136

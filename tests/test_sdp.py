@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ris_crn.sdp import (SdpConstraint, SdpProblem, check_hermitian,
-                         principal_eigpair, solve)
+from ris_crn.sdp import (SdpConstraint, SdpProblem, _max_steps,
+                         check_hermitian, principal_eigpair, solve)
 
 
 def _random_hermitian(n, rng):
@@ -105,6 +105,30 @@ def test_solver_deterministic(rng):
     s2 = solve(problem)
     np.testing.assert_array_equal(s1.x, s2.x)
     assert s1.objective == s2.objective
+
+
+def test_redundant_constraints_report_numerical_failure():
+    # two copies of one equality make the Schur complement exactly singular
+    problem = SdpProblem(np.diag([1.0, 2.0, 0.5]),
+                         [SdpConstraint(np.eye(3), "=", 1.0),
+                          SdpConstraint(np.eye(3), "=", 1.0)])
+    sol = solve(problem)
+    assert sol.status == "numerical-failure"
+
+
+def test_step_length_reaches_psd_boundary(rng):
+    n = 5
+    mats = np.stack([_random_psd(n, rng) + 0.1 * np.eye(n) for _ in range(2)])
+    linv = np.linalg.inv(np.linalg.cholesky(mats))
+    for _ in range(5):
+        dmats = np.stack([_random_hermitian(n, rng) for _ in range(2)])
+        for mat, dmat, alpha in zip(mats, dmats, _max_steps(linv, dmats)):
+            assert np.isfinite(alpha) and alpha > 0
+            assert np.linalg.eigvalsh(mat + 0.999 * alpha * dmat)[0] >= 0
+            assert np.linalg.eigvalsh(mat + 1.001 * alpha * dmat)[0] < 0
+    # a PSD direction never leaves the cone: primal and dual unbounded
+    dmats = np.stack([_random_psd(n, rng), np.zeros((n, n))])
+    assert _max_steps(linv, dmats) == [np.inf, np.inf]
 
 
 # -- principal eigenpair --------------------------------------------------

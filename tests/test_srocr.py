@@ -4,7 +4,7 @@ import pytest
 from ris_crn.channels import generate_channels
 from ris_crn.metrics import DesignState
 from ris_crn.optimizer import build_phase_problem, build_ws_problem
-from ris_crn.sdp import SdpConstraint, SdpProblem, solve
+from ris_crn.sdp import SdpConstraint, SdpProblem, principal_eigpair, solve
 from ris_crn.srocr import (RankOneResult, SrocrError, extract_vector,
                            randomize_phases, rank_one_ratio, refine)
 
@@ -45,6 +45,20 @@ def test_refine_requires_optimal_input(rng):
     relaxed = solve(problem)
     with pytest.raises(SrocrError):
         refine(problem, relaxed)
+
+
+def test_refined_vector_is_eigpair_of_returned_x(iid_scenario):
+    """After tightening rounds, ratio and vector describe the returned X."""
+    sc = iid_scenario
+    ch = generate_channels(sc, seed=0)
+    w = np.full(sc.n_s, np.sqrt(sc.p_max_w / sc.n_s), dtype=complex)
+    state = DesignState(w, np.zeros(sc.n_ris), sc.theta_r_deg)
+    problem, _, _ = build_phase_problem(state, ch, sc)
+    out = refine(problem, solve(problem), unit_modulus=True)
+    assert out.iterations >= 1
+    lam, q = principal_eigpair(out.x)
+    assert out.ratio == rank_one_ratio(out.x)
+    np.testing.assert_array_equal(out.vector, np.sqrt(max(lam, 0.0)) * q)
 
 
 def test_beamformer_matches_closed_form_mrt(iid_scenario, rng):
