@@ -214,8 +214,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         inv_y = np.zeros(m)
         inv_y[ineq] = 1.0 / y[ineq]
 
-        # a zero pivot (info > 0): the Schur complement is singular, as it
-        # is for a redundant constraint set
+        # a zero pivot (info > 0): the Schur complement is exactly singular,
+        # as it is when the same equality is given twice
         lu, piv, info = sla.lapack.dgetrf(big_m)
         if info != 0:
             status = "numerical-failure"
