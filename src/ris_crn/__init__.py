@@ -15,17 +15,16 @@ from .metrics import (DesignState, effective_pu_row, effective_su_row,
                       pattern_gains, pu_interference, se_su, sinr_su)
 from .optimizer import (OptimizerResult, TiltDecision, run_algorithm1,
                         select_tilt)
-from .scenario import (Scenario, ScenarioError, derive_geometry, load_scenario,
-                       paper_default)
+from .scenario import Scenario, ScenarioError, load_scenario, paper_default
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSet", "DesignState", "OptimizerResult", "PbsBeamformer",
     "Scenario", "ScenarioError", "SweepResult", "SweepSpec", "TiltDecision",
-    "derive_geometry", "effective_pu_row", "effective_su_row",
-    "generate_channels", "load_scenario", "load_sweep_spec", "paper_default",
-    "pattern_gains", "pbs_beamformer", "pu_interference", "run_algorithm1",
-    "run_sweep", "run_trial", "se_su", "select_tilt", "sinr_su",
+    "effective_pu_row", "effective_su_row", "generate_channels",
+    "load_scenario", "load_sweep_spec", "paper_default", "pattern_gains",
+    "pbs_beamformer", "pu_interference", "run_algorithm1", "run_sweep",
+    "run_trial", "se_su", "select_tilt", "sinr_su",
     "vertical_attenuation_db", "vertical_gain_linear",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ChannelParams, Scenario, derive_geometry, elevation_deg
+from .scenario import ChannelParams, Scenario, dbw_to_watts, elevation_deg
 
 # Fixed per-link substream indices; adding links must never renumber these.
 LINK_STREAMS = {"G": 0, "u": 1, "v": 2, "h_s": 3, "h_p": 4, "f_p": 5, "f_s": 6}
@@ -94,26 +94,25 @@ def generate_channels(scenario: Scenario, seed: int = 0) -> ChannelSet:
     n, n_s, n_p = scenario.n_ris, scenario.n_s, scenario.n_p
     pos = scenario.positions
 
-    def draw(link, rows, cols, dist, src, dst):
+    def draw(link, rows, cols, src, dst):
         rng = _link_rng(seed, link)
         if cp.iid_mode:
             w = (rng.standard_normal((rows, cols))
                  + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
             return np.sqrt(cp.channel_sigma2) * w
-        ang = elevation_deg(pos[src], pos[dst])
-        los = los_matrix(rows, cols, ang)
-        return path_loss_amplitude(dist, cp) * rician_sample(
+        a, b = pos[src], pos[dst]
+        los = los_matrix(rows, cols, elevation_deg(a, b))
+        return path_loss_amplitude(a.distance_to(b), cp) * rician_sample(
             rows, cols, cp.rician_k, los, rng)
 
-    g = derive_geometry(scenario)
     return ChannelSet(
-        G=draw("G", n, n_s, g.d_sbs_ris_m, "sbs", "ris"),
-        u=draw("u", n, 1, g.d_ris_su_m, "ris", "su")[:, 0],
-        v=draw("v", n, 1, g.d_ris_pu_m, "ris", "pu")[:, 0],
-        h_s=draw("h_s", n_s, 1, g.d_sbs_su_m, "sbs", "su")[:, 0],
-        h_p=draw("h_p", n_p, 1, g.d_pbs_pu_m, "pbs", "pu")[:, 0],
-        f_p=draw("f_p", n_s, 1, g.d_sbs_pu_m, "sbs", "pu")[:, 0],
-        f_s=draw("f_s", n_p, 1, g.d_pbs_su_m, "pbs", "su")[:, 0],
+        G=draw("G", n, n_s, "sbs", "ris"),
+        u=draw("u", n, 1, "ris", "su")[:, 0],
+        v=draw("v", n, 1, "ris", "pu")[:, 0],
+        h_s=draw("h_s", n_s, 1, "sbs", "su")[:, 0],
+        h_p=draw("h_p", n_p, 1, "pbs", "pu")[:, 0],
+        f_p=draw("f_p", n_s, 1, "sbs", "pu")[:, 0],
+        f_s=draw("f_s", n_p, 1, "pbs", "su")[:, 0],
     )
 
 
@@ -122,5 +121,4 @@ def pbs_beamformer(h_p: np.ndarray, pp_dbw: float) -> PbsBeamformer:
     norm = np.linalg.norm(h_p)
     if norm == 0:
         raise ChannelError("h_p is zero; PBS beamformer undefined")
-    pp_w = 10.0 ** (pp_dbw / 10.0)
-    return PbsBeamformer(w_p=np.sqrt(pp_w) * h_p / norm)
+    return PbsBeamformer(w_p=np.sqrt(dbw_to_watts(pp_dbw)) * h_p / norm)

@@ -17,7 +17,7 @@ import click
 from .channels import generate_channels
 from .experiments import load_sweep_spec, run_sweep
 from .optimizer import run_algorithm1
-from .scenario import load_scenario, paper_default
+from .scenario import ScenarioError, load_scenario, paper_default
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
                "debug": logging.DEBUG}
@@ -75,13 +75,17 @@ def sweep(spec_path, scenario_path, out_path, seed, workers):
 @click.option("--seed", default=0, type=click.IntRange(min=0),
               show_default=True, help="Channel and initialization seed.")
 @click.option("--tilt", "fixed_tilt", default=None, type=float,
-              help="Fix the tilt in degrees instead of selecting it.")
+              help="Fix the tilt in degrees, in [-180, 0], instead of "
+                   "selecting it.")
 def solve(scenario_path, seed, fixed_tilt):
     """Optimize one channel realization and print the design as JSON."""
     scenario = _load_scenario(scenario_path)
     channels = generate_channels(scenario, seed=seed)
-    result = run_algorithm1(channels, scenario, seed=seed,
-                            fixed_tilt_deg=fixed_tilt)
+    try:
+        result = run_algorithm1(channels, scenario, seed=seed,
+                                fixed_tilt_deg=fixed_tilt)
+    except ScenarioError as exc:   # only the fixed tilt is checked there
+        raise click.BadParameter(str(exc), param_hint="--tilt") from exc
     doc = {
         "se_bps_hz": result.se,
         "se_trace": [float(v) for v in result.se_trace],

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,13 +68,10 @@ class SweepSpec:
                                      f"[-180, 0] degrees, got {g}")
 
 
-_SPEC_KEYS = {"kind", "grid", "trials", "base_seed", "methods", "overrides"}
-
-
 def sweepspec_from_dict(doc: dict) -> SweepSpec:
     if not isinstance(doc, dict):
         raise SweepError("sweep spec document must be a JSON object")
-    unknown = sorted(set(doc) - _SPEC_KEYS)
+    unknown = sorted(set(doc) - {f.name for f in fields(SweepSpec)})
     if unknown:
         raise SweepError(f"unknown keys in sweep spec: {unknown}")
     missing = sorted({"kind", "grid", "trials"} - set(doc))

@@ -22,20 +22,6 @@ class DesignState:
     phases: np.ndarray       # (N,) real radians; RIS coefficient e^{j phase}
     theta_tilt_deg: float
 
-    def validate(self, scenario: Scenario):
-        if self.w_s.shape != (scenario.n_s,):
-            raise ValueError(f"w_s shape {self.w_s.shape} != ({scenario.n_s},)")
-        if self.phases.shape != (scenario.n_ris,):
-            raise ValueError(
-                f"phases shape {self.phases.shape} != ({scenario.n_ris},)")
-        power = float(np.vdot(self.w_s, self.w_s).real)
-        if power > scenario.p_max_w + 1e-9:
-            raise ValueError(f"||w_s||^2 = {power} exceeds budget "
-                             f"{scenario.p_max_w}")
-        if not (-180.0 <= self.theta_tilt_deg <= 0.0):
-            raise ValueError(f"theta_tilt_deg {self.theta_tilt_deg} outside "
-                             "[-180, 0]")
-
     @property
     def ris_coefficients(self) -> np.ndarray:
         return np.exp(1j * self.phases)

@@ -19,7 +19,7 @@ from . import sdp, srocr
 from .channels import ChannelSet, pbs_beamformer
 from .metrics import (DesignState, effective_pu_row, effective_su_row,
                       pattern_gains, pu_interference, se_su, sinr_su)
-from .scenario import Scenario
+from .scenario import Scenario, _check_angle
 
 EPSILON = 1e-3         # relative SE gain below which the loop stops
 MAX_OUTER_ITERS = 20
@@ -132,8 +132,6 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
 def initial_phases(n_ris: int, seed: int) -> np.ndarray:
     """Phase initialization; the random draw is shared with the
     random-phase baseline so method comparisons are paired."""
-    if n_ris == 0:
-        return np.zeros(n_ris)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(7,))
     rng = np.random.Generator(np.random.PCG64(ss))
     return rng.uniform(0.0, 2.0 * np.pi, size=n_ris)
@@ -185,8 +183,11 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     initialization and only the beamformer is optimized; the baselines in
     the experiment harness run through this same loop so feasibility
     repair and reporting are identical across methods.  The phases start
-    at the seeded random draw, or at zero with ``zero_phase_start``.
+    at the seeded random draw, or at zero with ``zero_phase_start``.  A
+    fixed tilt must lie in [-180, 0] degrees, like the scenario's angles.
     """
+    if fixed_tilt_deg is not None:
+        _check_angle("fixed_tilt_deg", fixed_tilt_deg)
     channels.validate(scenario)
     w_p = pbs_beamformer(channels.h_p, scenario.pp_dbw)
 

@@ -1,12 +1,13 @@
-"""Scenario configuration, unit conversions and geometry derivation.
+"""Scenario configuration, unit conversions and node geometry.
 
 All angles are stored in degrees; powers are stored in the units they are
 usually quoted in (dBW for base-station budgets, dBm for noise) and converted
-to watts on demand.
+to watts on demand.  The JSON schema is the dataclass fields themselves.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -17,6 +18,14 @@ NODE_NAMES = ("sbs", "pbs", "su", "pu", "ris")
 
 class ScenarioError(ValueError):
     """Raised when a scenario document violates an invariant."""
+
+
+def _check_finite(obj):
+    """Reject NaN and +-inf in any float field; None is left to the caller."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"{f.name} must be finite, got {value}")
 
 
 def dbm_to_watts(x: float) -> float:
@@ -34,8 +43,7 @@ class NodePosition:
     z: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ScenarioError("position coordinates must be finite")
+        _check_finite(self)
         if self.z < 0:
             raise ScenarioError(f"position z must be >= 0, got {self.z}")
 
@@ -49,6 +57,7 @@ class PatternParams:
     sla_v_db: float | None = None  # None means unbounded side-lobe floor
 
     def __post_init__(self):
+        _check_finite(self)
         if self.theta_3db_deg <= 0:
             raise ScenarioError(f"theta_3db_deg must be > 0, got {self.theta_3db_deg}")
         if self.sla_v_db is not None and self.sla_v_db <= 0:
@@ -65,6 +74,7 @@ class ChannelParams:
     iid_mode: bool = False
 
     def __post_init__(self):
+        _check_finite(self)
         if self.d0_m <= 0:
             raise ScenarioError(f"d0_m must be > 0, got {self.d0_m}")
         if self.alpha < 2:
@@ -102,6 +112,7 @@ class Scenario:
     angle_mode: str = "configured"
 
     def __post_init__(self):
+        _check_finite(self)
         missing = [n for n in NODE_NAMES if n not in self.positions]
         if missing:
             raise ScenarioError(f"positions missing nodes: {missing}")
@@ -114,13 +125,10 @@ class Scenario:
                 raise ScenarioError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ScenarioError(f"{name} must be >= {least}, got {value}")
-        for name in ("p_max_dbw", "pp_dbw"):
-            if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"{name} must be finite")
         if not (self.gamma_w > 0):
             raise ScenarioError(f"gamma_w must be > 0, got {self.gamma_w}")
-        if dbm_to_watts(self.noise_dbm) <= 0 or not math.isfinite(self.noise_dbm):
-            raise ScenarioError(f"noise_dbm must be finite, got {self.noise_dbm}")
+        if dbm_to_watts(self.noise_dbm) <= 0:
+            raise ScenarioError(f"noise_dbm {self.noise_dbm} gives no noise power")
         if self.angle_mode not in ("configured", "geometric"):
             raise ScenarioError(f"angle_mode must be configured|geometric, got {self.angle_mode!r}")
         if self.angle_mode == "configured":
@@ -153,28 +161,12 @@ class Scenario:
         """(theta_d, theta_r, theta_i) in the active angle mode."""
         if self.angle_mode == "configured":
             return (self.theta_d_deg, self.theta_r_deg, self.theta_i_deg)
-        geometry = derive_geometry(self)
-        return (geometry.elev_sbs_su_deg, geometry.elev_sbs_ris_deg,
-                geometry.elev_sbs_pu_deg)
+        sbs = self.positions["sbs"]
+        return tuple(elevation_deg(sbs, self.positions[node])
+                     for node in ("su", "ris", "pu"))
 
     def replace(self, **kwargs) -> "Scenario":
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(kwargs)
-        return Scenario(**data)
-
-
-@dataclass(frozen=True)
-class DerivedGeometry:
-    d_sbs_ris_m: float
-    d_sbs_su_m: float
-    d_sbs_pu_m: float
-    d_pbs_su_m: float
-    d_pbs_pu_m: float
-    d_ris_su_m: float
-    d_ris_pu_m: float
-    elev_sbs_su_deg: float
-    elev_sbs_ris_deg: float
-    elev_sbs_pu_deg: float
+        return dataclasses.replace(self, **kwargs)
 
 
 def elevation_deg(src: NodePosition, dst: NodePosition) -> float:
@@ -183,45 +175,10 @@ def elevation_deg(src: NodePosition, dst: NodePosition) -> float:
     return math.degrees(math.atan2(dst.z - src.z, horiz))
 
 
-def derive_geometry(scenario: Scenario) -> DerivedGeometry:
-    p = scenario.positions
-    links = [("sbs", "ris"), ("sbs", "su"), ("sbs", "pu"),
-             ("pbs", "su"), ("pbs", "pu"), ("ris", "su"), ("ris", "pu")]
-    dists = {}
-    for a, b in links:
-        d = p[a].distance_to(p[b])
-        if d <= 0.0:
-            raise ScenarioError(f"nodes {a} and {b} are co-located")
-        dists[(a, b)] = d
-    return DerivedGeometry(
-        d_sbs_ris_m=dists[("sbs", "ris")],
-        d_sbs_su_m=dists[("sbs", "su")],
-        d_sbs_pu_m=dists[("sbs", "pu")],
-        d_pbs_su_m=dists[("pbs", "su")],
-        d_pbs_pu_m=dists[("pbs", "pu")],
-        d_ris_su_m=dists[("ris", "su")],
-        d_ris_pu_m=dists[("ris", "pu")],
-        elev_sbs_su_deg=elevation_deg(p["sbs"], p["su"]),
-        elev_sbs_ris_deg=elevation_deg(p["sbs"], p["ris"]),
-        elev_sbs_pu_deg=elevation_deg(p["sbs"], p["pu"]),
-    )
-
-
 # -- JSON loading ---------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "positions", "n_s", "n_p", "n_ris", "p_max_dbw", "pp_dbw", "gamma_w",
-    "noise_dbm", "theta_d_deg", "theta_r_deg", "theta_i_deg", "pattern",
-    "channel", "angle_mode",
-}
-_PATTERN_KEYS = {"theta_3db_deg", "sla_v_db"}
-_CHANNEL_KEYS = {"zeta0_db", "d0_m", "alpha", "rician_k", "channel_sigma2",
-                 "iid_mode"}
-_POSITION_KEYS = {"x", "y", "z"}
-
-
-def _reject_unknown(doc: dict, allowed: set, where: str):
-    unknown = sorted(set(doc) - allowed)
+def _reject_unknown(doc: dict, cls, where: str):
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ScenarioError(f"unknown keys in {where}: {unknown}")
 
@@ -229,7 +186,7 @@ def _reject_unknown(doc: dict, allowed: set, where: str):
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _reject_unknown(doc, _SCENARIO_KEYS, "scenario")
+    _reject_unknown(doc, Scenario, "scenario")
     doc = dict(doc)
     raw_pos = doc.pop("positions", None)
     if not isinstance(raw_pos, dict):
@@ -238,26 +195,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for name, coords in raw_pos.items():
         if not isinstance(coords, dict):
             raise ScenarioError(f"positions.{name} must be an object with x,y,z")
-        _reject_unknown(coords, _POSITION_KEYS, f"positions.{name}")
+        _reject_unknown(coords, NodePosition, f"positions.{name}")
         positions[name] = NodePosition(**coords)
     pattern = doc.pop("pattern", {})
-    _reject_unknown(pattern, _PATTERN_KEYS, "pattern")
+    _reject_unknown(pattern, PatternParams, "pattern")
     channel = doc.pop("channel", {})
-    _reject_unknown(channel, _CHANNEL_KEYS, "channel")
+    _reject_unknown(channel, ChannelParams, "channel")
     return Scenario(positions=positions, pattern=PatternParams(**pattern),
                     channel=ChannelParams(**channel), **doc)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    doc = {
-        "positions": {name: {"x": p.x, "y": p.y, "z": p.z}
-                      for name, p in scenario.positions.items()},
-        "pattern": {k: getattr(scenario.pattern, k) for k in _PATTERN_KEYS},
-        "channel": {k: getattr(scenario.channel, k) for k in _CHANNEL_KEYS},
-    }
-    for key in sorted(_SCENARIO_KEYS - {"positions", "pattern", "channel"}):
-        doc[key] = getattr(scenario, key)
-    return doc
+    return dataclasses.asdict(scenario)
 
 
 def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:

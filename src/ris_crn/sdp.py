@@ -165,16 +165,20 @@ def solve(problem: SdpProblem) -> SdpSolution:
     status = "max-iterations"
     iters = 0
 
-    for iters in range(1, MAX_ITERS + 1):
+    def certificate():
+        """Residuals, dual objective and relative gap at the current iterate."""
         rp = bvec - opA(x) - s                     # primal residual
         rd = cmat - opAt(y) + z                    # dual residual (Hermitian)
-        mu = (float(np.dot(x.conj().ravel(), z.ravel()).real)
-              + float(s @ y)) / (n + max(k, 1))
         pobj = float(np.dot(cconj_flat, x.ravel()).real)
         dobj = float(bvec @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        pres = float(np.linalg.norm(rp)) / b_norm
-        dres = float(np.linalg.norm(rd)) / c_norm
+        return (rp, rd, dobj, float(np.linalg.norm(rp)) / b_norm,
+                float(np.linalg.norm(rd)) / c_norm, gap)
+
+    for iters in range(1, MAX_ITERS + 1):
+        rp, rd, dobj, pres, dres, gap = certificate()
+        mu = (float(np.dot(x.conj().ravel(), z.ravel()).real)
+              + float(s @ y)) / (n + max(k, 1))
 
         if pres <= TOL and dres <= TOL and gap <= TOL:
             status = "optimal"
@@ -278,16 +282,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     x_out = 0.5 * (x + x.conj().T)
     objective = float(np.dot(problem.c.conj().ravel(), x_out.ravel()).real)
-    rp = bvec - opA(x) - s
-    rd = cmat - opAt(y) + z
-    pobj = float(np.dot(cconj_flat, x.ravel()).real)
-    dobj = float(bvec @ y)
-    return SdpSolution(
-        x=x_out,
-        objective=objective,
-        status=status,
-        iterations=iters,
-        primal_residual=float(np.linalg.norm(rp)) / b_norm,
-        dual_residual=float(np.linalg.norm(rd)) / c_norm,
-        gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
-    )
+    _, _, _, pres, dres, gap = certificate()
+    return SdpSolution(x=x_out, objective=objective, status=status,
+                       iterations=iters, primal_residual=pres,
+                       dual_residual=dres, gap=gap)

@@ -4,7 +4,7 @@ import pytest
 from ris_crn.channels import (ChannelError, generate_channels, los_matrix,
                               path_loss_amplitude, pbs_beamformer,
                               rician_sample, ula_steering)
-from ris_crn.scenario import ChannelParams, apply_overrides, derive_geometry
+from ris_crn.scenario import ChannelParams, apply_overrides
 
 CP = ChannelParams(zeta0_db=-30.0, d0_m=1.0, alpha=3.0, rician_k=1.0)
 
@@ -22,7 +22,8 @@ def test_path_loss_hundred_meters():
 
 
 def test_path_loss_at_derived_distance(scenario):
-    d = derive_geometry(scenario).d_sbs_su_m
+    p = scenario.positions
+    d = p["sbs"].distance_to(p["su"])
     assert path_loss_amplitude(d, CP) == pytest.approx(5.545e-5, abs=2e-8)
 
 
@@ -96,7 +97,7 @@ def test_no_ris_degenerate_shapes(scenario):
 
 def test_direct_channel_second_moment(scenario):
     sc = apply_overrides(scenario, {"n_ris": 1, "n_p": 1})
-    d = derive_geometry(sc).d_sbs_su_m
+    d = sc.positions["sbs"].distance_to(sc.positions["su"])
     expected = sc.n_s * path_loss_amplitude(d, sc.channel) ** 2
     total = 0.0
     n_seeds = 10_000

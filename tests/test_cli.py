@@ -45,6 +45,15 @@ def test_solve_fixed_tilt(runner, iid_scenario_file):
     assert doc["tilt"]["branch"] == "fixed"
 
 
+@pytest.mark.parametrize("tilt", ["30", "nan"])
+def test_solve_rejects_tilt_outside_range(runner, tilt):
+    result = runner.invoke(main, ["solve", "--seed", "0", "--tilt", tilt])
+    assert result.exit_code == 2
+    assert "--tilt" in result.output
+    assert "[-180, 0]" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_sweep_writes_csv(runner, iid_scenario_file, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"kind": "power", "grid": [0.0], "trials": 1,

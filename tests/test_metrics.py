@@ -150,20 +150,6 @@ def test_no_ris_reduces_to_plain_miso(scenario, rng):
     assert sinr_su(state, ch, w_p, sc) == pytest.approx(expected, rel=1e-12)
 
 
-def test_validate_rejects_power_overrun(scenario):
-    w = np.full(scenario.n_s, np.sqrt(scenario.p_max_w), dtype=complex)
-    state = DesignState(w, np.zeros(scenario.n_ris), scenario.theta_r_deg)
-    with pytest.raises(ValueError, match="budget"):
-        state.validate(scenario)
-
-
-def test_validate_rejects_tilt_out_of_range(scenario):
-    state = DesignState(np.zeros(scenario.n_s, dtype=complex),
-                        np.zeros(scenario.n_ris), 10.0)
-    with pytest.raises(ValueError, match="theta_tilt"):
-        state.validate(scenario)
-
-
 def test_ris_coefficients_unit_modulus(scenario, rng):
     state = _state(scenario, rng)
     np.testing.assert_allclose(np.abs(state.ris_coefficients), 1.0,

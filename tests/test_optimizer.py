@@ -9,7 +9,7 @@ from ris_crn.metrics import (DesignState, effective_su_row, pu_interference,
 from ris_crn.optimizer import (build_phase_problem, build_ws_problem,
                                expected_cascade_power, expected_direct_power,
                                initial_phases, run_algorithm1, select_tilt)
-from ris_crn.scenario import apply_overrides, derive_geometry
+from ris_crn.scenario import NodePosition, apply_overrides, elevation_deg
 from ris_crn.sdp import solve
 
 
@@ -186,6 +186,18 @@ def test_fixed_tilt_override(iid_scenario):
     assert res.tilt.branch == "fixed"
 
 
+@pytest.mark.parametrize("tilt", [30.0, -180.5, float("nan")])
+def test_fixed_tilt_outside_range_rejected_before_any_solve(
+        iid_scenario, tilt, monkeypatch):
+    def no_solve(problem):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    ch = generate_channels(iid_scenario, seed=4)
+    with pytest.raises(ValueError, match="fixed_tilt_deg"):
+        run_algorithm1(ch, iid_scenario, seed=4, fixed_tilt_deg=tilt)
+
+
 def test_frozen_phases_keep_initialization(iid_scenario):
     ch = generate_channels(iid_scenario, seed=4)
     res = run_algorithm1(ch, iid_scenario, seed=4, update_phases=False)
@@ -203,15 +215,29 @@ def test_zero_phase_start(iid_scenario):
 
 def test_geometric_angle_mode_matches_configured_angles(iid_scenario):
     geo = iid_scenario.replace(angle_mode="geometric")
-    g = derive_geometry(geo)
-    conf = iid_scenario.replace(theta_d_deg=g.elev_sbs_su_deg,
-                                theta_r_deg=g.elev_sbs_ris_deg,
-                                theta_i_deg=g.elev_sbs_pu_deg)
+    p = geo.positions
+    conf = iid_scenario.replace(theta_d_deg=elevation_deg(p["sbs"], p["su"]),
+                                theta_r_deg=elevation_deg(p["sbs"], p["ris"]),
+                                theta_i_deg=elevation_deg(p["sbs"], p["pu"]))
     ch = generate_channels(geo, seed=5)
     r_geo = run_algorithm1(ch, geo, seed=5)
     r_conf = run_algorithm1(ch, conf, seed=5)
     assert r_geo.se > 0.0
     assert r_geo.se_trace == r_conf.se_trace
+
+
+def test_geometric_tilt_above_range_is_infeasible(iid_scenario):
+    """A derived elevation is not range-checked at load: with the RIS above
+    the SBS the tilt points upward, and the result must not count as
+    feasible."""
+    p = dict(iid_scenario.positions)
+    p["ris"] = NodePosition(p["ris"].x, p["ris"].y, p["sbs"].z + 20.0)
+    geo = iid_scenario.replace(angle_mode="geometric", positions=p)
+    ch = generate_channels(geo, seed=5)
+    res = run_algorithm1(ch, geo, seed=5)
+    assert res.tilt.branch == "ris"
+    assert res.state.theta_tilt_deg > 0.0
+    assert not res.feasible
 
 
 def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):

@@ -5,28 +5,29 @@ from hypothesis import given, strategies as st
 
 from ris_crn.scenario import (NodePosition, Scenario, ScenarioError,
                               apply_overrides, dbm_to_watts, dbw_to_watts,
-                              derive_geometry, elevation_deg, paper_default,
+                              elevation_deg, paper_default,
                               scenario_from_dict, scenario_to_dict)
 
 
 def test_distance_sbs_to_ris(scenario):
-    g = derive_geometry(scenario)
-    assert g.d_sbs_ris_m == pytest.approx(math.sqrt(100**2 + 10**2), abs=1e-9)
-    assert g.d_sbs_ris_m == pytest.approx(100.4988, abs=1e-4)
+    p = scenario.positions
+    d = p["sbs"].distance_to(p["ris"])
+    assert d == pytest.approx(math.sqrt(100**2 + 10**2), abs=1e-9)
+    assert d == pytest.approx(100.4988, abs=1e-4)
 
 
 def test_distance_sbs_to_su(scenario):
-    g = derive_geometry(scenario)
-    assert g.d_sbs_su_m == pytest.approx(math.sqrt(60**2 + 20**2 + 27**2),
-                                         abs=1e-9)
-    assert g.d_sbs_su_m == pytest.approx(68.7678, abs=1e-4)
+    p = scenario.positions
+    d = p["sbs"].distance_to(p["su"])
+    assert d == pytest.approx(math.sqrt(60**2 + 20**2 + 27**2), abs=1e-9)
+    assert d == pytest.approx(68.7678, abs=1e-4)
 
 
 def test_geometric_elevation_sbs_to_ris(scenario):
-    g = derive_geometry(scenario)
-    assert g.elev_sbs_ris_deg == pytest.approx(math.degrees(
-        math.atan2(-10, 100)), abs=1e-12)
-    assert g.elev_sbs_ris_deg == pytest.approx(-5.71, abs=0.01)
+    p = scenario.positions
+    elev = elevation_deg(p["sbs"], p["ris"])
+    assert elev == pytest.approx(math.degrees(math.atan2(-10, 100)), abs=1e-12)
+    assert elev == pytest.approx(-5.71, abs=0.01)
     # the bundled configuration intentionally keeps the quoted -30 degrees
     assert scenario.theta_r_deg == -30.0
 
@@ -145,10 +146,29 @@ def test_nonpositive_interference_cap_rejected(scenario):
 def test_geometric_angle_mode(scenario):
     geo = scenario.replace(angle_mode="geometric")
     th_d, th_r, th_i = geo.elevation_angles_deg()
-    g = derive_geometry(scenario)
-    assert th_d == g.elev_sbs_su_deg
-    assert th_r == g.elev_sbs_ris_deg
-    assert th_i == g.elev_sbs_pu_deg
+    p = scenario.positions
+    assert th_d == elevation_deg(p["sbs"], p["su"])
+    assert th_r == elevation_deg(p["sbs"], p["ris"])
+    assert th_i == elevation_deg(p["sbs"], p["pu"])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("path", [
+    ("pattern", "theta_3db_deg"), ("pattern", "sla_v_db"),
+    ("channel", "zeta0_db"), ("channel", "d0_m"), ("channel", "alpha"),
+    ("channel", "rician_k"), ("channel", "channel_sigma2"), ("gamma_w",),
+    ("p_max_dbw",), ("pp_dbw",), ("noise_dbm",), ("theta_r_deg",),
+    ("positions", "su", "x")])
+def test_non_finite_value_rejected(scenario, path, value):
+    # Python's json reads NaN and Infinity, so a scenario file can carry them
+    doc = scenario_to_dict(scenario)
+    *parents, key = path
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ScenarioError, match=f"^{key} must be finite"):
+        scenario_from_dict(doc)
 
 
 def test_round_trip_dict(scenario):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ris_crn import sdp
 from ris_crn.sdp import (SdpConstraint, SdpProblem, _max_steps,
                          check_hermitian, principal_eigpair, solve)
 
@@ -114,6 +115,24 @@ def test_redundant_constraints_report_numerical_failure():
                           SdpConstraint(np.eye(3), "=", 1.0)])
     sol = solve(problem)
     assert sol.status == "numerical-failure"
+
+
+def test_max_iterations_certificate_describes_final_iterate(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERS", 3)
+    a = np.array([1.0, 1j, -1.0, 0.5 - 0.5j])
+    b = np.array([0.5, 1.0, 1j, -1.0])
+    problem = SdpProblem(np.outer(a.conj(), a),
+                         [SdpConstraint(np.outer(b.conj(), b), "<=", 0.5),
+                          SdpConstraint(np.eye(4), "<=", 2.0)])
+    sol = solve(problem)
+    assert sol.status == "max-iterations"
+    assert sol.iterations == 3
+    # residuals and gap after the third step, not at the top of the third
+    # iteration
+    assert sol.primal_residual == pytest.approx(9.420232725710029e-05, rel=1e-9)
+    assert sol.dual_residual == pytest.approx(0.0, abs=1e-15)
+    assert sol.gap == pytest.approx(0.0007600559448408535, rel=1e-9)
+    assert sol.objective == pytest.approx(5.055633406254458, rel=1e-12)
 
 
 def test_step_length_reaches_psd_boundary(rng):
