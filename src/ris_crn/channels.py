@@ -18,8 +18,11 @@ import numpy as np
 
 from .scenario import ChannelParams, Scenario, dbw_to_watts, elevation_deg
 
-# Fixed per-link substream indices; adding links must never renumber these.
-LINK_STREAMS = {"G": 0, "u": 1, "v": 2, "h_s": 3, "h_p": 4, "f_p": 5, "f_s": 6}
+# Fixed substream indices: the seven links, then the optimizer's phase
+# initialization and phase randomization.  Adding streams must never
+# renumber these.
+STREAMS = {"G": 0, "u": 1, "v": 2, "h_s": 3, "h_p": 4, "f_p": 5, "f_s": 6,
+           "phase_init": 7, "randomization": 8}
 
 
 class ChannelError(ValueError):
@@ -83,8 +86,8 @@ def rician_sample(rows: int, cols: int, k: float, los: np.ndarray,
     return np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * w
 
 
-def _link_rng(seed: int, link: str) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(LINK_STREAMS[link],))
+def stream_rng(seed: int, stream: str) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(STREAMS[stream],))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -95,7 +98,7 @@ def generate_channels(scenario: Scenario, seed: int = 0) -> ChannelSet:
     pos = scenario.positions
 
     def draw(link, rows, cols, src, dst):
-        rng = _link_rng(seed, link)
+        rng = stream_rng(seed, link)
         if cp.iid_mode:
             w = (rng.standard_normal((rows, cols))
                  + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)

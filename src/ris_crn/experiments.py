@@ -4,14 +4,16 @@ Three sweep kinds are supported: ``tilt`` (grid of fixed tilt angles),
 ``elements`` (grid of RIS sizes) and ``power`` (grid of transmit power
 budgets).  Each (grid value, trial) cell draws one channel realization and
 evaluates every requested method on it, so method comparisons are paired.
-Trials are embarrassingly parallel; aggregation runs in a fixed order so
-the CSV is bitwise-identical regardless of the worker count.
+Trials are embarrassingly parallel; their results come back in task order
+at any worker count, so the CSV is bitwise-identical across worker counts.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -19,15 +21,12 @@ import numpy as np
 
 from .channels import generate_channels
 from .optimizer import run_algorithm1
-from .scenario import Scenario, ScenarioError, apply_overrides
+from .scenario import Scenario, ScenarioError, _check_angle, apply_overrides
 
 log = logging.getLogger(__name__)
 
 SWEEP_KINDS = ("tilt", "elements", "power")
 METHODS = ("proposed", "random_phase", "fixed_zero_phase", "no_ris")
-
-CSV_COLUMNS = ("sweep_kind", "grid_value", "method", "trials",
-               "mean_se_bps_hz", "std_se", "mean_outer_iters", "violations")
 
 
 class SweepError(ValueError):
@@ -49,26 +48,37 @@ class SweepSpec:
                              f"got {self.kind!r}")
         if len(self.grid) == 0:
             raise SweepError("grid must be non-empty")
-        if self.trials < 1:
-            raise SweepError(f"trials must be >= 1, got {self.trials}")
+        for g in self.grid:
+            if (isinstance(g, bool) or not isinstance(g, numbers.Real)
+                    or not math.isfinite(g)):
+                raise SweepError(f"grid values must be finite numbers, "
+                                 f"got {g!r}")
+            if self.kind == "elements" and (int(g) != g or g < 0):
+                raise SweepError(f"elements grid values must be "
+                                 f"non-negative integers, got {g}")
+            if self.kind == "tilt":
+                try:
+                    _check_angle("tilt grid value", g)
+                except ScenarioError as exc:
+                    raise SweepError(str(exc)) from exc
+        for key, least in (("trials", 1), ("base_seed", 0)):
+            value = getattr(self, key)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise SweepError(f"{key} must be an integer, got {value!r}")
+            if value < least:
+                raise SweepError(f"{key} must be >= {least}, got {value}")
         unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise SweepError(f"unknown methods {unknown}; valid: {METHODS}")
-        if not self.methods:
-            raise SweepError("methods must be non-empty")
-        if self.kind == "elements":
-            for g in self.grid:
-                if int(g) != g or g < 0:
-                    raise SweepError(f"elements grid values must be "
-                                     f"non-negative integers, got {g}")
-        if self.kind == "tilt":
-            for g in self.grid:
-                if not -180.0 <= g <= 0.0:
-                    raise SweepError(f"tilt grid values must lie in "
-                                     f"[-180, 0] degrees, got {g}")
+        if unknown or not self.methods:
+            raise SweepError(f"methods must be one or more of {METHODS}, "
+                             f"got {list(self.methods)}")
+        if not isinstance(self.overrides, (dict, type(None))):
+            raise SweepError(f"overrides must be an object or null, "
+                             f"got {self.overrides!r}")
 
 
 def sweepspec_from_dict(doc: dict) -> SweepSpec:
+    """Check the document's shape; SweepSpec checks the values."""
     if not isinstance(doc, dict):
         raise SweepError("sweep spec document must be a JSON object")
     unknown = sorted(set(doc) - {f.name for f in fields(SweepSpec)})
@@ -81,23 +91,8 @@ def sweepspec_from_dict(doc: dict) -> SweepSpec:
     for key in ("grid", "methods"):
         if not isinstance(doc[key], list):
             raise SweepError(f"{key} must be a list, got {doc[key]!r}")
-    if not all(_is_number(g) for g in doc["grid"]):
-        raise SweepError(f"grid values must be numbers, got {doc['grid']!r}")
-    for key in ("trials", "base_seed"):
-        if not _is_integer(doc[key]):
-            raise SweepError(f"{key} must be an integer, got {doc[key]!r}")
-    return SweepSpec(kind=doc["kind"], grid=tuple(doc["grid"]),
-                     trials=doc["trials"], base_seed=doc["base_seed"],
-                     methods=tuple(doc["methods"]),
-                     overrides=doc.get("overrides"))
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+        doc[key] = tuple(doc[key])
+    return SweepSpec(**doc)
 
 
 def load_sweep_spec(path) -> SweepSpec:
@@ -124,6 +119,9 @@ class SweepRow:
     violations: int
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     spec: SweepSpec
@@ -131,17 +129,9 @@ class SweepResult:
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join([
-                r.sweep_kind, repr(float(r.grid_value)), r.method,
-                str(r.trials), repr(float(r.mean_se_bps_hz)),
-                repr(float(r.std_se)), repr(float(r.mean_outer_iters)),
-                str(r.violations)]))
+        lines += [",".join(str(getattr(r, c)) for c in CSV_COLUMNS)
+                  for r in self.rows]
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
 
 def _cell_setup(spec: SweepSpec, scenario: Scenario, grid_value):
@@ -181,10 +171,9 @@ def run_trial(scenario: Scenario, method: str, seed: int,
 
 
 def _trial_task(args):
-    grid_idx, grid_value, method, trial, scenario, seed, fixed_tilt = args
+    grid_value, method, scenario, seed, fixed_tilt = args
     try:
-        return grid_idx, method, trial, run_trial(scenario, method, seed,
-                                                  fixed_tilt)
+        return run_trial(scenario, method, seed, fixed_tilt)
     except Exception as exc:
         raise SweepError(f"trial failed at grid_value {grid_value}, "
                          f"method {method!r}, seed {seed}: {exc}") from exc
@@ -194,9 +183,9 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
               workers: int = 1) -> SweepResult:
     """Run all (grid value, method, trial) cells and aggregate.
 
-    Results are keyed and reduced in a fixed order after all trials
-    complete, so the output is independent of scheduling; a single writer
-    emits the CSV at the end.
+    Every grid value's scenario is built before any trial runs.  Results
+    come back in task order (grid value, then method, then trial) at any
+    worker count, so the CSV does not depend on scheduling.
     """
     if spec.overrides:
         try:
@@ -205,45 +194,40 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
             raise SweepError(f"bad scenario overrides: {exc}") from exc
 
     tasks = []
-    for grid_idx, grid_value in enumerate(spec.grid):
-        cell_scenario, fixed_tilt = _cell_setup(spec, scenario, grid_value)
-        for method in spec.methods:
-            for trial in range(spec.trials):
-                tasks.append((grid_idx, grid_value, method, trial,
-                              cell_scenario, spec.base_seed + trial,
-                              fixed_tilt))
+    for grid_value in spec.grid:
+        try:
+            cell_scenario, fixed_tilt = _cell_setup(spec, scenario, grid_value)
+        except ScenarioError as exc:
+            raise SweepError(f"bad grid_value {grid_value}: {exc}") from exc
+        tasks += [(grid_value, method, cell_scenario, spec.base_seed + t,
+                   fixed_tilt)
+                  for method in spec.methods for t in range(spec.trials)]
 
-    results = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for grid_idx, method, trial, tr in pool.map(
-                    _trial_task, tasks, chunksize=4):
-                results[(grid_idx, method, trial)] = tr
+            trials = list(pool.map(_trial_task, tasks, chunksize=4))
     else:
-        for task in tasks:
-            grid_idx, method, trial, tr = _trial_task(task)
-            results[(grid_idx, method, trial)] = tr
+        trials = [_trial_task(task) for task in tasks]
 
     rows = []
-    for grid_idx, grid_value in enumerate(spec.grid):
-        for method in spec.methods:
-            cell = [results[(grid_idx, method, t)]
-                    for t in range(spec.trials)]
-            ses = np.array([c.se_bps_hz for c in cell])
-            iters = np.array([c.outer_iterations for c in cell], dtype=float)
-            violations = sum(1 for c in cell if not c.feasible)
-            rows.append(SweepRow(
-                sweep_kind=spec.kind, grid_value=float(grid_value),
-                method=method, trials=spec.trials,
-                mean_se_bps_hz=float(np.mean(ses)),
-                std_se=float(np.std(ses, ddof=1)) if spec.trials > 1 else 0.0,
-                mean_outer_iters=float(np.mean(iters)),
-                violations=violations))
-            log.info("cell %s=%g method=%s mean_se=%.4f violations=%d",
-                     spec.kind, grid_value, method, rows[-1].mean_se_bps_hz,
-                     violations)
+    for k, (grid_value, method) in enumerate(
+            (g, m) for g in spec.grid for m in spec.methods):
+        cell = trials[k * spec.trials:(k + 1) * spec.trials]
+        ses = [c.se_bps_hz for c in cell]
+        rows.append(SweepRow(
+            sweep_kind=spec.kind, grid_value=float(grid_value),
+            method=method, trials=spec.trials,
+            mean_se_bps_hz=float(np.mean(ses)),
+            std_se=float(np.std(ses, ddof=1)) if spec.trials > 1 else 0.0,
+            mean_outer_iters=float(np.mean([c.outer_iterations
+                                            for c in cell])),
+            violations=sum(not c.feasible for c in cell)))
+        log.info("cell %s=%g method=%s mean_se=%.4f violations=%d",
+                 spec.kind, grid_value, method, rows[-1].mean_se_bps_hz,
+                 rows[-1].violations)
 
     result = SweepResult(spec=spec, rows=tuple(rows))
     if out_path is not None:
-        result.write_csv(out_path)
+        with open(out_path, "w") as fh:
+            fh.write(result.to_csv())
     return result

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp, srocr
-from .channels import ChannelSet, pbs_beamformer
+from .channels import ChannelSet, pbs_beamformer, stream_rng
 from .metrics import (DesignState, effective_pu_row, effective_su_row,
                       pattern_gains, pu_interference, se_su, sinr_su)
 from .scenario import Scenario, _check_angle
@@ -37,7 +37,6 @@ class TiltDecision:
 class OptimizerResult:
     state: DesignState
     se_trace: list[float]
-    outer_iterations: int
     tilt: TiltDecision
     pu_interference_w: float
     power_w: float
@@ -47,6 +46,10 @@ class OptimizerResult:
     @property
     def se(self) -> float:
         return self.se_trace[-1] if self.se_trace else 0.0
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.se_trace)
 
 
 # -- tilt selection -------------------------------------------------------
@@ -132,8 +135,7 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
 def initial_phases(n_ris: int, seed: int) -> np.ndarray:
     """Phase initialization; the random draw is shared with the
     random-phase baseline so method comparisons are paired."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(7,))
-    rng = np.random.Generator(np.random.PCG64(ss))
+    rng = stream_rng(seed, "phase_init")
     return rng.uniform(0.0, 2.0 * np.pi, size=n_ris)
 
 
@@ -199,8 +201,7 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
         tilt = select_tilt(scenario)
     state = DesignState(np.zeros(scenario.n_s, dtype=complex), phases0,
                         tilt.theta_tilt_deg)
-    fallback_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(8,))))
+    fallback_rng = stream_rng(seed, "randomization")
 
     def accept(cand: DesignState, current: DesignState, se: float):
         """Repair cand, then keep it only if the SE does not drop.
@@ -249,7 +250,6 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     feasible = (leak <= scenario.gamma_w * (1.0 + 1e-6)
                 and power <= scenario.p_max_w * (1.0 + 1e-6)
                 and -180.0 <= state.theta_tilt_deg <= 0.0)
-    return OptimizerResult(state=state, se_trace=se_trace,
-                           outer_iterations=len(se_trace), tilt=tilt,
+    return OptimizerResult(state=state, se_trace=se_trace, tilt=tilt,
                            pu_interference_w=leak, power_w=power,
                            feasible=feasible, diagnostics=diagnostics)

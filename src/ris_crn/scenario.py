@@ -127,7 +127,15 @@ class Scenario:
                 raise ScenarioError(f"{name} must be >= {least}, got {value}")
         if not (self.gamma_w > 0):
             raise ScenarioError(f"gamma_w must be > 0, got {self.gamma_w}")
-        if dbm_to_watts(self.noise_dbm) <= 0:
+        for name, to_watts in (("p_max_dbw", dbw_to_watts),
+                               ("pp_dbw", dbw_to_watts),
+                               ("noise_dbm", dbm_to_watts)):
+            try:
+                to_watts(getattr(self, name))
+            except (OverflowError, TypeError):
+                raise ScenarioError(f"{name} must give a finite power, "
+                                    f"got {getattr(self, name)!r}") from None
+        if self.noise_w <= 0:
             raise ScenarioError(f"noise_dbm {self.noise_dbm} gives no noise power")
         if self.angle_mode not in ("configured", "geometric"):
             raise ScenarioError(f"angle_mode must be configured|geometric, got {self.angle_mode!r}")

@@ -132,14 +132,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
     amats = np.empty((m, n, n), dtype=complex)
     bvec = np.empty(m)
     ineq = np.empty(m, dtype=bool)
-    row_scale = np.empty(m)
     for i, con in enumerate(problem.constraints):
         sgn = -1.0 if con.relation == ">=" else 1.0
         sc = max(float(np.linalg.norm(con.a)), abs(con.b), 1e-30)
         amats[i] = sgn * con.a / sc
         bvec[i] = sgn * con.b / sc
         ineq[i] = con.relation != "="
-        row_scale[i] = sc
     k = int(ineq.sum())
     aconj_flat = amats.conj().reshape(m, n * n)
     a_flat = amats.reshape(m, n * n)

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -55,11 +56,41 @@ def test_spec_from_dict_rejects_unknown_keys():
     ("grid", [-30, -190], "-190"),
     ("grid", [10], "10"),
     ("methods", "proposed", "methods"),
+    ("base_seed", -3, "base_seed"),
+    ("overrides", 5, "overrides"),
+    ("grid", [math.nan], "nan"),
+    ("grid", [-math.inf], "inf"),
+    pytest.param({"kind": "elements", "grid": [math.inf]}, None, "inf",
+                 id="elements-inf"),
+    pytest.param({"kind": "elements", "grid": [math.nan]}, None, "nan",
+                 id="elements-nan"),
+    pytest.param({"kind": "power", "grid": [math.inf]}, None, "inf",
+                 id="power-inf"),
+    pytest.param({"kind": "power", "grid": [math.nan]}, None, "nan",
+                 id="power-nan"),
 ])
 def test_spec_from_dict_rejects_bad_values(key, value, message):
-    doc = {"kind": "tilt", "grid": [-30], "trials": 2, key: value}
+    doc = {"kind": "tilt", "grid": [-30], "trials": 2}
+    doc.update(key if isinstance(key, dict) else {key: value})
     with pytest.raises(SweepError, match=message):
         sweepspec_from_dict(doc)
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"trials": 2.5}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"base_seed": -3}, "base_seed"),
+    ({"grid": ("a",)}, "'a'"),
+    ({"kind": "power", "grid": (math.nan,)}, "nan"),
+    ({"kind": "elements", "grid": (math.inf,)}, "inf"),
+    ({"overrides": 5}, "overrides"),
+    ({"methods": ()}, "methods"),
+])
+def test_spec_built_directly_checks_values(changes, message):
+    args = {"kind": "tilt", "grid": (-30.0,), "trials": 2, "base_seed": 0,
+            **changes}
+    with pytest.raises(SweepError, match=message):
+        SweepSpec(**args)
 
 
 def test_spec_json_loading(tmp_path):
@@ -144,6 +175,34 @@ def test_run_sweep_bad_overrides(iid_scenario):
                      overrides={"n_elements": 3})
     with pytest.raises(SweepError, match="overrides"):
         run_sweep(spec, iid_scenario)
+
+
+def test_grid_value_without_finite_power_names_it(iid_scenario, monkeypatch):
+    import ris_crn.experiments as exp
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before every cell was set up")
+
+    monkeypatch.setattr(exp, "run_trial", no_trials)
+    spec = SweepSpec(kind="power", grid=(0.0, 4000.0), trials=1, base_seed=0)
+    with pytest.raises(SweepError, match="grid_value 4000.0.*p_max_dbw"):
+        run_sweep(spec, iid_scenario)
+
+
+@pytest.mark.parametrize("kind,grid", [("tilt", (-60.0, -30.0)),
+                                       ("power", (0.0, 10.0))])
+def test_sweep_rows_ordered_and_worker_invariant(iid_scenario, tmp_path,
+                                                 kind, grid):
+    sc = apply_overrides(iid_scenario, {"n_ris": 2})
+    methods = ("no_ris", "fixed_zero_phase", "proposed", "random_phase")
+    spec = SweepSpec(kind=kind, grid=grid, trials=2, base_seed=4,
+                     methods=methods)
+    p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    result = run_sweep(spec, sc, out_path=p1, workers=1)
+    run_sweep(spec, sc, out_path=p2, workers=2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert [(r.grid_value, r.method) for r in result.rows] == [
+        (g, m) for g in grid for m in methods]
 
 
 def test_failing_trial_names_cell(iid_scenario, monkeypatch):

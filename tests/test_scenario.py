@@ -171,6 +171,14 @@ def test_non_finite_value_rejected(scenario, path, value):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [4000.0, None])
+@pytest.mark.parametrize("key", ["p_max_dbw", "pp_dbw", "noise_dbm"])
+def test_db_value_without_finite_power_rejected(scenario, key, value):
+    # 10**400 W overflows a float; the field must be named at load time
+    with pytest.raises(ScenarioError, match=f"^{key} must give a finite power"):
+        apply_overrides(scenario, {key: value})
+
+
 def test_round_trip_dict(scenario):
     assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
