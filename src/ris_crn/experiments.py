@@ -33,6 +33,16 @@ class SweepError(ValueError):
     pass
 
 
+def _is_finite_number(value) -> bool:
+    """A real number other than a bool that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     kind: str
@@ -49,8 +59,7 @@ class SweepSpec:
         if len(self.grid) == 0:
             raise SweepError("grid must be non-empty")
         for g in self.grid:
-            if (isinstance(g, bool) or not isinstance(g, numbers.Real)
-                    or not math.isfinite(g)):
+            if not _is_finite_number(g):
                 raise SweepError(f"grid values must be finite numbers, "
                                  f"got {g!r}")
             if self.kind == "elements" and (int(g) != g or g < 0):
@@ -205,7 +214,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(_trial_task, tasks, chunksize=4))
+            trials = list(pool.map(_trial_task, tasks))
     else:
         trials = [_trial_task(task) for task in tasks]
 

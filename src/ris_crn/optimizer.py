@@ -2,11 +2,15 @@
 
 The loop fixes the tilt first (pointing at the RIS when the expected
 reflected power beats the expected direct power), then alternates between
-the beamformer subproblem and the phase-shift subproblem, each solved by
-semidefinite relaxation followed by sequential rank-one recovery.  Every
-accepted iterate is feasible and the spectral-efficiency trace is
-non-decreasing by construction: a recovered candidate that would lower the
-objective is discarded in favor of the previous iterate.
+the beamformer subproblem and the phase-shift subproblem.  The beamformer
+step is solved by semidefinite relaxation followed by sequential rank-one
+recovery (SROCR).  The phase step co-phases every reflected path with the
+direct one, which is the global optimum whenever it satisfies the
+interference cap C1; only when co-phasing violates C1 does it run the same
+relaxation and recovery.  Every accepted iterate is feasible and the
+spectral-efficiency trace is non-decreasing by construction: a recovered
+candidate that would lower the objective is discarded in favor of the
+previous iterate.
 """
 
 from __future__ import annotations
@@ -155,9 +159,32 @@ def _solve_ws(state: DesignState, channels: ChannelSet, scenario: Scenario,
     return np.sqrt(max(np.trace(result.x).real, 0.0)) * q
 
 
+def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
+    """Phases that add every reflected path in phase with the direct one:
+    alpha_n = arg(h_s^H w) - arg(conj(u_n) (G w)_n).
+
+    The tilt gains only scale each path by a positive amount and do not
+    enter, so the angles stay right where A_d (or the product A_d A_r in
+    the homogenized cross column) underflows to zero.
+    """
+    w = state.w_s
+    c = np.vdot(channels.h_s, w)
+    return np.angle(c) - np.angle(channels.u.conj() * (channels.G @ w))
+
+
 def _solve_phases(state: DesignState, channels: ChannelSet,
                   scenario: Scenario, rng: np.random.Generator,
                   diag: dict) -> np.ndarray:
+    """Phase step.  The co-phased profile maximizes |a(alpha) w|^2 over all
+    unit-modulus profiles, so when it satisfies C1 it is the subproblem's
+    global optimum and no SDP is built.  Only when it violates C1 does the
+    step fall back to SDR with SROCR, or Gaussian randomization when the
+    SROCR schedule stalls."""
+    cophased = cophased_phases(state, channels)
+    if (pu_interference(state.with_phases(cophased), channels, scenario)
+            <= scenario.gamma_w):
+        diag["phase_recovery"] = "cophase"
+        return cophased
     problem, _, _ = build_phase_problem(state, channels, scenario)
     relaxed = sdp.solve(problem)
     diag["phase_sdp_status"] = relaxed.status

@@ -68,6 +68,8 @@ def test_spec_from_dict_rejects_unknown_keys():
                  id="power-inf"),
     pytest.param({"kind": "power", "grid": [math.nan]}, None, "nan",
                  id="power-nan"),
+    pytest.param({"kind": "power", "grid": [10 ** 400]}, None,
+                 str(10 ** 400), id="power-int-beyond-float"),
 ])
 def test_spec_from_dict_rejects_bad_values(key, value, message):
     doc = {"kind": "tilt", "grid": [-30], "trials": 2}
@@ -85,6 +87,8 @@ def test_spec_from_dict_rejects_bad_values(key, value, message):
     ({"kind": "elements", "grid": (math.inf,)}, "inf"),
     ({"overrides": 5}, "overrides"),
     ({"methods": ()}, "methods"),
+    pytest.param({"kind": "power", "grid": (10 ** 400,)}, str(10 ** 400),
+                 id="power-int-beyond-float"),
 ])
 def test_spec_built_directly_checks_values(changes, message):
     args = {"kind": "tilt", "grid": (-30.0,), "trials": 2, "base_seed": 0,

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ris_crn import sdp
+from ris_crn import optimizer, sdp, srocr
 from ris_crn.channels import generate_channels, pbs_beamformer
 from ris_crn.experiments import run_trial
-from ris_crn.metrics import (DesignState, effective_su_row, pu_interference,
-                             se_su, sinr_su)
+from ris_crn.metrics import (DesignState, effective_su_row, pattern_gains,
+                             pu_interference, se_su, sinr_su)
 from ris_crn.optimizer import (build_phase_problem, build_ws_problem,
-                               expected_cascade_power, expected_direct_power,
-                               initial_phases, run_algorithm1, select_tilt)
+                               cophased_phases, expected_cascade_power,
+                               expected_direct_power, initial_phases,
+                               run_algorithm1, select_tilt)
 from ris_crn.scenario import NodePosition, apply_overrides, elevation_deg
 from ris_crn.sdp import solve
 
@@ -244,21 +247,116 @@ def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
     """Exact IPM iteration totals and SDP statuses of two fixed runs.
 
     Integer counts catch a change of the interior-point path that the SE
-    comparison at rtol 1e-6 would let through."""
+    comparison at rtol 1e-6 would let through.  On the path-loss default C1
+    is slack, so every phase step is co-phased and only the 2x2 beamformer
+    relaxations run; the iid n_s=4 trial at -30 deg is the C1-binding case
+    that runs the phase SDP with SROCR."""
     log = []
     real = sdp.solve
 
     def spy(problem):
         sol = real(problem)
-        log.append((sol.status, sol.iterations))
+        log.append((problem.c.shape[0], len(problem.constraints),
+                    sol.status, sol.iterations))
         return sol
 
     monkeypatch.setattr(sdp, "solve", spy)
     run_algorithm1(generate_channels(scenario, seed=0), scenario, seed=0)
-    assert [s for s, _ in log] == ["optimal"] * 21
-    assert sum(i for _, i in log) == 189
+    assert [entry[:3] for entry in log] == [(2, 2, "optimal")] * 7
+    assert sum(entry[3] for entry in log) == 70
     log.clear()
     iid4 = apply_overrides(iid_scenario, {"n_s": 4})
     run_trial(iid4, "proposed", seed=0, fixed_tilt_deg=-30.0)
-    assert [s for s, _ in log] == ["optimal"] * 12
-    assert sum(i for _, i in log) == 136
+    assert [entry[2] for entry in log] == ["optimal"] * 12
+    assert sum(entry[3] for entry in log) == 136
+
+
+def _phase_objective(problem, l1, phases):
+    """l1 + x^H H1 x at x = [e^{j phases}; 1]."""
+    x = np.append(np.exp(1j * np.asarray(phases)), 1.0)
+    return l1 + float(np.vdot(x, problem.c @ x).real)
+
+
+@pytest.mark.parametrize("case", [f"pathloss-{s}" for s in range(5)]
+                         + ["iid-slack"])
+def test_cophased_phases_reach_relaxation_bound_when_c1_slack(
+        case, scenario, iid_scenario):
+    """With C1 slack the co-phased profile attains the SDP relaxation's
+    bound, so it is the phase subproblem's global optimum and no extracted
+    SROCR vector beats it."""
+    if case == "iid-slack":
+        sc, seed = apply_overrides(iid_scenario, {"gamma_w": 1e3}), 0
+    else:
+        sc, seed = scenario, int(case.split("-")[1])
+    ch = generate_channels(sc, seed=seed)
+    state = run_algorithm1(ch, sc, seed=seed).state
+    cophased = cophased_phases(state, ch)
+    assert pu_interference(state.with_phases(cophased), ch, sc) <= sc.gamma_w
+    problem, l1, _ = build_phase_problem(state, ch, sc)
+    relaxed = solve(problem)
+    assert relaxed.status == "optimal"
+    value = _phase_objective(problem, l1, cophased)
+    assert value == pytest.approx(l1 + relaxed.objective, rel=1e-6)
+    refined = srocr.refine(problem, relaxed, unit_modulus=True)
+    assert refined.feasible
+    extracted = np.angle(srocr.extract_vector(refined, "phases")[:-1])
+    assert value >= _phase_objective(problem, l1, extracted) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("case", ["zero-direct-channel", "direct-gain-zero"])
+def test_cophased_phases_without_direct_term(case, iid_scenario):
+    """No direct term: the phase step must still add the reflected paths in
+    phase, giving A_r (sum_n |u_n^* (G w)_n|)^2.  Angles read off the
+    homogenized cross column (zero here) would all be 0 and fall short."""
+    sc = apply_overrides(iid_scenario, {"gamma_w": 1e9})
+    ch = generate_channels(sc, seed=3)
+    if case == "zero-direct-channel":
+        ch = dataclasses.replace(ch, h_s=np.zeros_like(ch.h_s))
+    else:
+        # a 2-degree beam at the surface leaves the user 50 deg off
+        # boresight, 7,500 dB down: A_d is exactly 0.0 in floating point
+        sc = apply_overrides(sc, {"pattern": {"theta_3db_deg": 2.0}})
+    res = run_algorithm1(ch, sc, seed=3)
+    assert [d["phase_recovery"] for d in res.diagnostics] == (
+        ["cophase"] * res.outer_iterations)
+    state = res.state
+    a_d, a_r, _ = pattern_gains(state, sc)
+    if case == "direct-gain-zero":
+        assert a_d == 0.0
+    problem, l1, _ = build_phase_problem(state, ch, sc)
+    assert not problem.c[:-1, -1].any()
+    expected = a_r * np.sum(np.abs(ch.u.conj() * (ch.G @ state.w_s))) ** 2
+    assert _phase_objective(problem, l1, state.phases) == pytest.approx(
+        expected, rel=1e-12)
+
+
+def test_binding_c1_runs_phase_sdp_with_srocr(iid_scenario, monkeypatch):
+    """Where co-phasing violates C1, the phase step falls back to the
+    relaxation and SROCR: one phase SDP (N+1 unknowns, C1 plus N+1 unit
+    diagonals) per such step, and none where co-phasing is feasible."""
+    sc = apply_overrides(iid_scenario, {"n_s": 4})
+    ch = generate_channels(sc, seed=0)
+    violations = []
+    real_cophase = optimizer.cophased_phases
+
+    def cophase_spy(state, channels):
+        phases = real_cophase(state, channels)
+        violations.append(pu_interference(state.with_phases(phases),
+                                          channels, sc) > sc.gamma_w)
+        return phases
+
+    shapes = []
+    real_solve = sdp.solve
+
+    def solve_spy(problem):
+        shapes.append((problem.c.shape[0], len(problem.constraints)))
+        return real_solve(problem)
+
+    monkeypatch.setattr(optimizer, "cophased_phases", cophase_spy)
+    monkeypatch.setattr(sdp, "solve", solve_spy)
+    res = run_algorithm1(ch, sc, seed=0, fixed_tilt_deg=-30.0)
+    recoveries = [d["phase_recovery"] for d in res.diagnostics]
+    assert recoveries == ["srocr" if v else "cophase" for v in violations]
+    assert "srocr" in recoveries
+    n = sc.n_ris
+    assert shapes.count((n + 1, n + 2)) == sum(violations)
