@@ -4,13 +4,13 @@ The loop fixes the tilt first (pointing at the RIS when the expected
 reflected power beats the expected direct power), then alternates between
 the beamformer subproblem and the phase-shift subproblem.  The beamformer
 step is solved by semidefinite relaxation followed by sequential rank-one
-recovery (SROCR).  The phase step co-phases every reflected path with the
-direct one, which is the global optimum whenever it satisfies the
-interference cap C1; only when co-phasing violates C1 does it run the same
-relaxation and recovery.  Every accepted iterate is feasible and the
-spectral-efficiency trace is non-decreasing by construction: a recovered
-candidate that would lower the objective is discarded in favor of the
-previous iterate.
+recovery (SROCR), and is not solved again while the phases stay the same.
+The phase step co-phases every reflected path with the direct one, which is
+the global optimum whenever it satisfies the interference cap C1; only when
+co-phasing violates C1 does it run the same relaxation and recovery.  Every
+accepted iterate is feasible and the spectral-efficiency trace is
+non-decreasing by construction: a recovered candidate that would lower the
+objective is discarded in favor of the previous iterate.
 """
 
 from __future__ import annotations
@@ -144,12 +144,14 @@ def initial_phases(n_ris: int, seed: int) -> np.ndarray:
 
 
 def _solve_ws(state: DesignState, channels: ChannelSet, scenario: Scenario,
-              diag: dict) -> np.ndarray:
+              diag: dict) -> np.ndarray | None:
+    """Beamformer step; None when the relaxation is not solved to
+    optimality, and the current beamformer is kept."""
     problem = build_ws_problem(state, channels, scenario)
     relaxed = sdp.solve(problem)
     diag["ws_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
-        return state.w_s
+        return None
     result = srocr.refine(problem, relaxed)
     diag["ws_srocr_ratio"] = result.ratio
     diag["ws_srocr_iters"] = result.iterations
@@ -254,10 +256,20 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     se_prev = 0.0
     se_trace: list[float] = []
     diagnostics: list[dict] = []
+    # The beamformer subproblem sees the state only through its phases (the
+    # tilt is fixed), so a step whose phases are bit-equal to those of the
+    # last beamformer solve reuses that solve's result and diagnostics.
+    ws_key, ws_step, ws_diag = None, None, {}
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
+        key = state.phases.tobytes()
+        reused = key == ws_key
+        if not reused:
+            ws_key, ws_diag = key, {}
+            ws_step = _solve_ws(state, channels, scenario, ws_diag)
+        diag.update(ws_diag, ws_reused=reused)
         state, se_now = accept(state.with_beamformer(
-            _solve_ws(state, channels, scenario, diag)), state, se_now)
+            state.w_s if ws_step is None else ws_step), state, se_now)
         if update_phases and scenario.n_ris > 0:
             state, se_now = accept(state.with_phases(
                 _solve_phases(state, channels, scenario, fallback_rng, diag)),

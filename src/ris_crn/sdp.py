@@ -119,6 +119,20 @@ def _max_steps(linv: np.ndarray, dmats: np.ndarray) -> list[float]:
     return [np.inf if lam >= 0 else -1.0 / lam for lam in lam_min]
 
 
+def _unit_scale(mat: np.ndarray, b: float = 0.0) -> float:
+    """Divisor that brings the term (mat, b) to unit size: max(||mat||_F, |b|).
+
+    However small a nonzero term is, it is scaled up to unit size rather
+    than left at its own scale, where the solver cannot tell it from zero.
+    Where the squares in the Frobenius norm underflow, the largest entry
+    stands in for the norm; only an all-zero term keeps the scale 1.
+    """
+    scale = max(float(np.linalg.norm(mat)), abs(b))
+    if scale == 0.0:
+        scale = float(np.abs(mat).max(initial=0.0)) or 1.0
+    return scale
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
     """Interior-point solve; deterministic for fixed inputs."""
     n = problem.dim
@@ -127,14 +141,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
         raise SdpError("problem needs at least one constraint bounding X")
 
     # normalize: flip >= to <=, scale objective and constraints to unit size
-    c_scale = max(float(np.linalg.norm(problem.c)), 1e-30)
-    cmat = problem.c / c_scale
+    cmat = problem.c / _unit_scale(problem.c)
     amats = np.empty((m, n, n), dtype=complex)
     bvec = np.empty(m)
     ineq = np.empty(m, dtype=bool)
     for i, con in enumerate(problem.constraints):
         sgn = -1.0 if con.relation == ">=" else 1.0
-        sc = max(float(np.linalg.norm(con.a)), abs(con.b), 1e-30)
+        sc = _unit_scale(con.a, con.b)
         amats[i] = sgn * con.a / sc
         bvec[i] = sgn * con.b / sc
         ineq[i] = con.relation != "="

@@ -85,19 +85,26 @@ def refine(problem: SdpProblem, relaxed: SdpSolution,
     delta = DELTA_INIT
     n = problem.dim
     iterations = 0
+    # the weight of the last failed round; q only moves on success, so a
+    # round that tries this weight again (w + delta clipped at 1 twice)
+    # would solve the identical problem and fail identically
+    failed_w = None
     while ratio < RANK_TOL and w < 1.0 and iterations < MAX_ROUNDS:
         iterations += 1
-        align = _align_direction(q, unit_modulus)
         w_try = min(1.0, w + delta)
-        # a^H X a >= w * tr(X)  <=>  tr((a a^H - w I) X) >= 0
-        aligned = problem.with_constraint(
-            np.outer(align, align.conj()) - w_try * np.eye(n), ">=", 0.0)
-        sol = sdp.solve(aligned)
-        if sol.status != "optimal":
+        sol = None
+        if w_try != failed_w:
+            align = _align_direction(q, unit_modulus)
+            # a^H X a >= w * tr(X)  <=>  tr((a a^H - w I) X) >= 0
+            sol = sdp.solve(problem.with_constraint(
+                np.outer(align, align.conj()) - w_try * np.eye(n), ">=", 0.0))
+        if sol is None or sol.status != "optimal":
+            failed_w = w_try
             delta *= SHRINK
             if delta < 1e-6:
                 break
             continue
+        failed_w = None
         w = w_try
         x, objective = sol.x, sol.objective
         ratio, lam, q = _ratio_eigpair(x)

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,3 +239,17 @@ def test_far_off_boresight_trial_warns_nothing(iid_scenario):
         res = run_trial(sc, "proposed", 0, fixed_tilt_deg=-170.0)
     assert res.feasible
     assert res.se_bps_hz == 0.0
+
+
+def test_tilt_sweep_matches_golden_csv(iid_scenario):
+    """Byte-for-byte guard on a small tilt sweep, recorded before the
+    solver stopped repeating solves whose answer is already known (far-tilt
+    SROCR rounds, failed SROCR rounds, beamformer steps with unchanged
+    phases).  Skipping them must not change a single digit."""
+    spec = SweepSpec(kind="tilt",
+                     grid=(-180.0, -150.0, -120.0, -90.0, -60.0, -30.0, 0.0),
+                     trials=2, base_seed=0,
+                     methods=("proposed", "random_phase", "no_ris"),
+                     overrides={"n_s": 4})
+    golden = (Path(__file__).parent / "data" / "golden_tilt_sweep.csv")
+    assert run_sweep(spec, iid_scenario).to_csv() == golden.read_text()

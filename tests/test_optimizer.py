@@ -360,3 +360,87 @@ def test_binding_c1_runs_phase_sdp_with_srocr(iid_scenario, monkeypatch):
     assert "srocr" in recoveries
     n = sc.n_ris
     assert shapes.count((n + 1, n + 2)) == sum(violations)
+
+
+def _solve_log(monkeypatch):
+    """Record every problem passed to sdp.solve."""
+    log = []
+    real = sdp.solve
+
+    def spy(problem):
+        log.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    return log
+
+
+def test_far_tilt_beamformer_relaxation_is_rank_one(iid_scenario,
+                                                    monkeypatch):
+    """At -180 deg the beamformer objective is ~1e-120.  Scaled to unit
+    size, its 2-constraint relaxation comes out rank one at full power
+    (C1 is slack), so SROCR has nothing to re-solve."""
+    sc = apply_overrides(iid_scenario, {"n_s": 4})
+    ch = generate_channels(sc, seed=0)
+    state = DesignState(np.zeros(sc.n_s, dtype=complex),
+                        initial_phases(sc.n_ris, 0), -180.0)
+    problem = build_ws_problem(state, ch, sc)
+    assert np.linalg.norm(problem.c) < 1e-100
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert srocr.rank_one_ratio(sol.x) >= srocr.RANK_TOL
+    a = effective_su_row(state, ch, sc)
+    assert sol.objective == pytest.approx(
+        sc.p_max_w * np.vdot(a, a).real, rel=1e-6)
+    log = _solve_log(monkeypatch)
+    run_trial(sc, "proposed", seed=0, fixed_tilt_deg=-180.0)
+    shapes = [(p.dim, len(p.constraints)) for p in log]
+    assert (4, 2) in shapes and (4, 3) not in shapes     # no SROCR round
+
+
+def _same_problem(p, q):
+    return (np.array_equal(p.c, q.c)
+            and len(p.constraints) == len(q.constraints)
+            and all(np.array_equal(a.a, b.a) and a.relation == b.relation
+                    and a.b == b.b
+                    for a, b in zip(p.constraints, q.constraints)))
+
+
+def test_no_identical_consecutive_solves(iid_scenario, monkeypatch):
+    """The -30 deg seed-2 trial has SROCR rounds that fail with the
+    weight clipped at 1; the repeat of such a round is not solved again,
+    and the result is unchanged."""
+    sc = apply_overrides(iid_scenario, {"n_s": 4})
+    log = _solve_log(monkeypatch)
+    trial = run_trial(sc, "proposed", seed=2, fixed_tilt_deg=-30.0)
+    assert not any(_same_problem(p, q) for p, q in zip(log, log[1:]))
+    # the SE as it was when every failed round was solved again
+    assert trial.se_bps_hz == pytest.approx(9.17093217784074, rel=1e-9)
+    assert trial.outer_iterations == 6
+
+
+@pytest.mark.parametrize("method", ["random_phase", "fixed_zero_phase",
+                                    "no_ris"])
+def test_fixed_phase_methods_solve_only_in_first_iteration(
+        method, iid_scenario, monkeypatch):
+    """With the phases frozen, every beamformer step after the first
+    reuses the first solve and says so in its diagnostics."""
+    sc = apply_overrides(iid_scenario, {
+        "n_s": 4, "n_ris": 0 if method == "no_ris" else iid_scenario.n_ris})
+
+    def run():
+        return run_algorithm1(generate_channels(sc, seed=1), sc, seed=1,
+                              update_phases=False,
+                              zero_phase_start=(method == "fixed_zero_phase"))
+
+    log = _solve_log(monkeypatch)
+    res = run()
+    assert res.outer_iterations >= 2
+    assert [d["ws_reused"] for d in res.diagnostics] == (
+        [False] + [True] * (res.outer_iterations - 1))
+    assert all(d["ws_sdp_status"] == "optimal" for d in res.diagnostics)
+    calls = len(log)
+    log.clear()
+    monkeypatch.setattr(optimizer, "MAX_OUTER_ITERS", 1)
+    run()
+    assert len(log) == calls > 0

@@ -85,6 +85,49 @@ def test_constraint_scaling_invariance(rng):
     np.testing.assert_allclose(s2.x, s1.x, atol=1e-5 * (1 + abs(s1.objective)))
 
 
+@pytest.mark.parametrize("scale", [1e-40, 1e-200])
+def test_tiny_objective_scaled_to_unit_size(scale, rng):
+    """A tiny objective is optimized, not mistaken for zero: far off
+    boresight the beamformer objective is ~1e-120, and a fixed floor on
+    its scale left the analytic centre of the feasible set (X ~ I) as the
+    reported optimum.  At 1e-200 the squares in the norm underflow."""
+    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    cons = [SdpConstraint(np.outer(b, b.conj()), "<=", 0.5),
+            SdpConstraint(np.eye(4), "<=", 2.0)]
+    c = np.outer(a, a.conj())
+    unit = solve(SdpProblem(c, cons))
+    tiny = solve(SdpProblem(scale * c, cons))
+    assert unit.status == tiny.status == "optimal"
+    np.testing.assert_allclose(tiny.x, unit.x, atol=1e-6)
+    assert tiny.objective == pytest.approx(scale * unit.objective, rel=1e-6)
+
+
+def test_tiny_homogeneous_constraint_enforced():
+    """max x11 + 0.5 x22 s.t. tr X <= 1 and eps * x11 <= 0: the tiny
+    constraint still forces x11 = 0, so X = E22 as for eps = 1."""
+    c = np.diag([1.0, 0.5])
+    e11 = np.diag([1.0, 0.0])
+
+    def solve_with(eps):
+        return solve(SdpProblem(c, [SdpConstraint(np.eye(2), "<=", 1.0),
+                                    SdpConstraint(eps * e11, "<=", 0.0)]))
+
+    unit, tiny = solve_with(1.0), solve_with(1e-40)
+    assert unit.status == tiny.status == "optimal"
+    np.testing.assert_allclose(unit.x, np.diag([0.0, 1.0]), atol=1e-6)
+    np.testing.assert_allclose(tiny.x, unit.x, atol=1e-6)
+
+
+def test_all_zero_objective_keeps_unit_scale():
+    # nothing to optimize: any feasible X is optimal
+    sol = solve(SdpProblem(np.zeros((2, 2)),
+                           [SdpConstraint(np.eye(2), "<=", 1.0)]))
+    assert sol.status == "optimal"
+    assert sol.objective == 0.0
+    assert np.trace(sol.x).real <= 1.0 + 1e-6
+
+
 def test_solution_certificates(rng):
     a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
