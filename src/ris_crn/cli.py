@@ -15,7 +15,7 @@ import sys
 import click
 
 from .channels import generate_channels
-from .experiments import load_sweep_spec, run_sweep
+from .experiments import SweepError, load_sweep_spec, run_sweep
 from .optimizer import run_algorithm1
 from .scenario import ScenarioError, load_scenario, paper_default
 
@@ -32,8 +32,17 @@ def _configure_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_scenario(path):
-    return load_scenario(path) if path else paper_default()
+def _document(load):
+    """Option callback that loads a JSON document with ``load``; a document
+    that does not parse or validate is a usage error (exit status 2)."""
+    def callback(ctx, param, path):
+        if path is None:
+            return None
+        try:
+            return load(path)
+        except (json.JSONDecodeError, ScenarioError, SweepError) as exc:
+            raise click.BadParameter(str(exc), ctx, param) from exc
+    return callback
 
 
 @click.group()
@@ -43,11 +52,13 @@ def main():
 
 
 @main.command()
-@click.option("--spec", "spec_path", required=True,
+@click.option("--spec", required=True,
               type=click.Path(exists=True, dir_okay=False),
+              callback=_document(load_sweep_spec),
               help="Sweep specification JSON.")
-@click.option("--scenario", "scenario_path", default=None,
+@click.option("--scenario", default=None,
               type=click.Path(exists=True, dir_okay=False),
+              callback=_document(load_scenario),
               help="Scenario JSON (default: bundled scenario).")
 @click.option("--out", "out_path", required=True,
               type=click.Path(dir_okay=False, writable=True),
@@ -56,30 +67,30 @@ def main():
               help="Override the spec's base seed.")
 @click.option("--workers", default=1, type=click.IntRange(min=1),
               show_default=True, help="Parallel trial workers.")
-def sweep(spec_path, scenario_path, out_path, seed, workers):
+def sweep(spec, scenario, out_path, seed, workers):
     """Run a tilt / elements / power sweep and write a CSV."""
     from dataclasses import replace
 
-    spec = load_sweep_spec(spec_path)
     if seed is not None:
         spec = replace(spec, base_seed=seed)
-    scenario = _load_scenario(scenario_path)
-    run_sweep(spec, scenario, out_path=out_path, workers=workers)
+    run_sweep(spec, scenario or paper_default(), out_path=out_path,
+              workers=workers)
     click.echo(f"wrote {out_path}")
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", default=None,
+@click.option("--scenario", default=None,
               type=click.Path(exists=True, dir_okay=False),
+              callback=_document(load_scenario),
               help="Scenario JSON (default: bundled scenario).")
 @click.option("--seed", default=0, type=click.IntRange(min=0),
               show_default=True, help="Channel and initialization seed.")
 @click.option("--tilt", "fixed_tilt", default=None, type=float,
               help="Fix the tilt in degrees, in [-180, 0], instead of "
                    "selecting it.")
-def solve(scenario_path, seed, fixed_tilt):
+def solve(scenario, seed, fixed_tilt):
     """Optimize one channel realization and print the design as JSON."""
-    scenario = _load_scenario(scenario_path)
+    scenario = scenario or paper_default()
     channels = generate_channels(scenario, seed=seed)
     try:
         result = run_algorithm1(channels, scenario, seed=seed,

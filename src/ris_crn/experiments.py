@@ -199,7 +199,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
     if spec.overrides:
         try:
             scenario = apply_overrides(scenario, spec.overrides)
-        except (ScenarioError, TypeError) as exc:
+        except ScenarioError as exc:
             raise SweepError(f"bad scenario overrides: {exc}") from exc
 
     tasks = []

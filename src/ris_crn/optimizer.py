@@ -2,15 +2,14 @@
 
 The loop fixes the tilt first (pointing at the RIS when the expected
 reflected power beats the expected direct power), then alternates between
-the beamformer subproblem and the phase-shift subproblem.  The beamformer
-step is solved by semidefinite relaxation followed by sequential rank-one
-recovery (SROCR), and is not solved again while the phases stay the same.
-The phase step co-phases every reflected path with the direct one, which is
-the global optimum whenever it satisfies the interference cap C1; only when
-co-phasing violates C1 does it run the same relaxation and recovery.  Every
-accepted iterate is feasible and the spectral-efficiency trace is
-non-decreasing by construction: a recovered candidate that would lower the
-objective is discarded in favor of the previous iterate.
+the beamformer step, the principal eigenvector of its tight semidefinite
+relaxation (reused while the phases stay the same), and the phase step,
+which co-phases every reflected path with the direct one: the global
+optimum whenever it keeps the interference cap C1.  Only where it does not
+does the phase step run a relaxation with sequential rank-one recovery
+(SROCR).  Every accepted iterate is feasible and the spectral-efficiency
+trace is non-decreasing by construction: a recovered candidate that would
+lower the objective is discarded in favor of the previous iterate.
 """
 
 from __future__ import annotations
@@ -145,20 +144,20 @@ def initial_phases(n_ris: int, seed: int) -> np.ndarray:
 
 def _solve_ws(state: DesignState, channels: ChannelSet, scenario: Scenario,
               diag: dict) -> np.ndarray | None:
-    """Beamformer step; None when the relaxation is not solved to
-    optimality, and the current beamformer is kept."""
-    problem = build_ws_problem(state, channels, scenario)
-    relaxed = sdp.solve(problem)
+    """Beamformer step: sqrt(lambda_1) q_1 of the relaxed X, or None (the
+    beamformer is kept) when the relaxation is not solved to optimality.
+
+    Tightness: a complex SDP with two constraints has a rank-one optimum
+    (rank(X)^2 <= 2; Huang & Palomar, IEEE TSP 2010).  Feasibility:
+    lambda_1 q_1 q_1^H <= X, so the vector meets both PSD "<=" constraints
+    whenever X does, even for a non-rank-one X.
+    """
+    relaxed = sdp.solve(build_ws_problem(state, channels, scenario))
     diag["ws_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
         return None
-    result = srocr.refine(problem, relaxed)
-    diag["ws_srocr_ratio"] = result.ratio
-    diag["ws_srocr_iters"] = result.iterations
-    if result.feasible:
-        return srocr.extract_vector(result, "beamformer")
-    _, q = sdp.principal_eigpair(result.x)
-    return np.sqrt(max(np.trace(result.x).real, 0.0)) * q
+    lam, q = sdp.principal_eigpair(relaxed.x)
+    return np.sqrt(max(lam, 0.0)) * q
 
 
 def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
@@ -235,10 +234,10 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     def accept(cand: DesignState, current: DesignState, se: float):
         """Repair cand, then keep it only if the SE does not drop.
 
-        A recovered beamformer can overshoot C1 or the budget, and a phase
-        move changes the effective PU row under the kept beamformer, so
-        the beamformer is scaled down until both hold with margin; returns
-        the kept state and its SE.
+        A beamformer meets C1 and the budget only to the IPM's tolerance,
+        and a phase move changes the effective PU row under the kept
+        beamformer, so the beamformer is scaled down until both hold with
+        margin; returns the kept state and its SE.
         """
         scale2 = 1.0
         power = float(np.vdot(cand.w_s, cand.w_s).real)

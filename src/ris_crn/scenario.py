@@ -2,7 +2,8 @@
 
 All angles are stored in degrees; powers are stored in the units they are
 usually quoted in (dBW for base-station budgets, dBm for noise) and converted
-to watts on demand.  The JSON schema is the dataclass fields themselves.
+to watts on demand.  The JSON schema is the dataclass fields themselves, and
+each field's annotation is the JSON type it takes.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 NODE_NAMES = ("sbs", "pbs", "su", "pu", "ris")
@@ -20,12 +22,34 @@ class ScenarioError(ValueError):
     """Raised when a scenario document violates an invariant."""
 
 
-def _check_finite(obj):
-    """Reject NaN and +-inf in any float field; None is left to the caller."""
+def _check_fields(obj):
+    """Check every scalar field against its annotation.
+
+    ``float`` takes a finite number, a JSON integer included but not a
+    bool; ``float | None`` also takes None; ``int`` takes an integer,
+    ``bool`` only true or false and ``str`` a string.  Fields of other
+    types are built and checked by their own classes.
+    """
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioError(f"{f.name} must be finite, got {value}")
+        if f.type == "float | None" and value is None:
+            continue
+        if f.type in ("float", "float | None"):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ScenarioError(f"{f.name} must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:       # an int beyond the float range
+                finite = False
+            if not finite:
+                raise ScenarioError(f"{f.name} must be finite, got {value}")
+        elif f.type == "int" and (isinstance(value, bool)
+                                  or not isinstance(value, int)):
+            raise ScenarioError(f"{f.name} must be an integer, got {value!r}")
+        elif f.type == "bool" and not isinstance(value, bool):
+            raise ScenarioError(f"{f.name} must be true or false, got {value!r}")
+        elif f.type == "str" and not isinstance(value, str):
+            raise ScenarioError(f"{f.name} must be a string, got {value!r}")
 
 
 def dbm_to_watts(x: float) -> float:
@@ -43,7 +67,7 @@ class NodePosition:
     z: float
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if self.z < 0:
             raise ScenarioError(f"position z must be >= 0, got {self.z}")
 
@@ -57,7 +81,7 @@ class PatternParams:
     sla_v_db: float | None = None  # None means unbounded side-lobe floor
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if self.theta_3db_deg <= 0:
             raise ScenarioError(f"theta_3db_deg must be > 0, got {self.theta_3db_deg}")
         if self.sla_v_db is not None and self.sla_v_db <= 0:
@@ -74,7 +98,7 @@ class ChannelParams:
     iid_mode: bool = False
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if self.d0_m <= 0:
             raise ScenarioError(f"d0_m must be > 0, got {self.d0_m}")
         if self.alpha < 2:
@@ -112,21 +136,8 @@ class Scenario:
     angle_mode: str = "configured"
 
     def __post_init__(self):
-        _check_finite(self)
-        missing = [n for n in NODE_NAMES if n not in self.positions]
-        if missing:
-            raise ScenarioError(f"positions missing nodes: {missing}")
-        extra = [n for n in self.positions if n not in NODE_NAMES]
-        if extra:
-            raise ScenarioError(f"positions has unknown nodes: {extra}")
-        for name, least in (("n_s", 1), ("n_p", 1), ("n_ris", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ScenarioError(f"{name} must be >= {least}, got {value}")
-        if not (self.gamma_w > 0):
-            raise ScenarioError(f"gamma_w must be > 0, got {self.gamma_w}")
+        # before the field check, so that a dB field that is null reads as
+        # giving no finite power
         for name, to_watts in (("p_max_dbw", dbw_to_watts),
                                ("pp_dbw", dbw_to_watts),
                                ("noise_dbm", dbm_to_watts)):
@@ -135,6 +146,19 @@ class Scenario:
             except (OverflowError, TypeError):
                 raise ScenarioError(f"{name} must give a finite power, "
                                     f"got {getattr(self, name)!r}") from None
+        _check_fields(self)
+        missing = [n for n in NODE_NAMES if n not in self.positions]
+        if missing:
+            raise ScenarioError(f"positions missing nodes: {missing}")
+        extra = [n for n in self.positions if n not in NODE_NAMES]
+        if extra:
+            raise ScenarioError(f"positions has unknown nodes: {extra}")
+        for name, least in (("n_s", 1), ("n_p", 1), ("n_ris", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ScenarioError(f"{name} must be >= {least}, got {value}")
+        if not (self.gamma_w > 0):
+            raise ScenarioError(f"gamma_w must be > 0, got {self.gamma_w}")
         if self.noise_w <= 0:
             raise ScenarioError(f"noise_dbm {self.noise_dbm} gives no noise power")
         if self.angle_mode not in ("configured", "geometric"):
@@ -185,32 +209,36 @@ def elevation_deg(src: NodePosition, dst: NodePosition) -> float:
 
 # -- JSON loading ---------------------------------------------------------
 
-def _reject_unknown(doc: dict, cls, where: str):
+def _from_dict(cls, doc, where: str):
+    """cls(**doc) for a JSON object whose keys are cls's fields, every
+    field without a default among them."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {doc!r}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ScenarioError(f"unknown keys in {where}: {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ScenarioError(f"{where} missing required keys {missing}")
+    return cls(**doc)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _reject_unknown(doc, Scenario, "scenario")
     doc = dict(doc)
-    raw_pos = doc.pop("positions", None)
+    raw_pos = doc.get("positions")
     if not isinstance(raw_pos, dict):
         raise ScenarioError("positions must be an object mapping node -> {x,y,z}")
-    positions = {}
-    for name, coords in raw_pos.items():
-        if not isinstance(coords, dict):
-            raise ScenarioError(f"positions.{name} must be an object with x,y,z")
-        _reject_unknown(coords, NodePosition, f"positions.{name}")
-        positions[name] = NodePosition(**coords)
-    pattern = doc.pop("pattern", {})
-    _reject_unknown(pattern, PatternParams, "pattern")
-    channel = doc.pop("channel", {})
-    _reject_unknown(channel, ChannelParams, "channel")
-    return Scenario(positions=positions, pattern=PatternParams(**pattern),
-                    channel=ChannelParams(**channel), **doc)
+    doc["positions"] = {name: _from_dict(NodePosition, coords,
+                                         f"positions.{name}")
+                        for name, coords in raw_pos.items()}
+    doc["pattern"] = _from_dict(PatternParams, doc.get("pattern", {}),
+                                "pattern")
+    doc["channel"] = _from_dict(ChannelParams, doc.get("channel", {}),
+                                "channel")
+    return _from_dict(Scenario, doc, "scenario")
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

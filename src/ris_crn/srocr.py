@@ -6,6 +6,9 @@ restored gradually: each round adds the alignment constraint
 round's solution, and re-solves while pushing ``w`` toward 1.  A Gaussian
 randomization fallback guarantees a feasible vector even when the schedule
 stalls.
+
+The optimizer runs it only on phase steps where co-phasing violates the
+interference cap; its beamformer relaxation is tight and needs no recovery.
 """
 
 from __future__ import annotations

@@ -92,3 +92,43 @@ def test_invalid_log_level_rejected(runner, monkeypatch):
     result = runner.invoke(main, ["solve", "--seed", "0"])
     assert result.exit_code != 0
     assert "RIS_CRN_LOG" in result.output
+
+
+def _spec_doc(**changes):
+    return {"kind": "power", "grid": [0.0], "trials": 1, "base_seed": 0,
+            "methods": ["random_phase"], **changes}
+
+
+@pytest.mark.parametrize("option,text,message", [
+    pytest.param("--scenario", "[]", "must be a JSON object",
+                 id="scenario-list"),
+    pytest.param("--scenario",
+                 json.dumps({**scenario_to_dict(paper_default()),
+                             "gamma_w": "1"}),
+                 "gamma_w must be a number", id="scenario-string-number"),
+    pytest.param("--scenario", "{", "Expecting property name",
+                 id="scenario-not-json"),
+    pytest.param("--spec", json.dumps(_spec_doc(trials=0)),
+                 "trials must be >= 1", id="spec-zero-trials"),
+    pytest.param("--spec", json.dumps([_spec_doc()]),
+                 "must be a JSON object", id="spec-list")])
+def test_bad_input_document_is_usage_error(runner, tmp_path, option, text,
+                                           message):
+    paths = {"--spec": tmp_path / "spec.json",
+             "--scenario": tmp_path / "scenario.json"}
+    paths["--spec"].write_text(json.dumps(_spec_doc()))
+    paths["--scenario"].write_text(json.dumps(
+        scenario_to_dict(paper_default())))
+    path = paths[option]
+    path.write_text(text)
+    result = runner.invoke(main, ["sweep", "--spec", str(paths["--spec"]),
+                                  "--scenario", str(paths["--scenario"]),
+                                  "--out", str(tmp_path / "out.csv")])
+    assert result.exit_code == 2
+    assert option in result.output and message in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out.csv").exists()
+    if option == "--scenario":
+        result = runner.invoke(main, ["solve", option, str(path)])
+        assert result.exit_code == 2
+        assert option in result.output and message in result.output

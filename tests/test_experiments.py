@@ -176,10 +176,13 @@ def test_run_sweep_applies_overrides(iid_scenario, tmp_path):
 
 
 def test_run_sweep_bad_overrides(iid_scenario):
-    spec = SweepSpec(kind="power", grid=(0.0,), trials=1, base_seed=0,
-                     overrides={"n_elements": 3})
-    with pytest.raises(SweepError, match="overrides"):
-        run_sweep(spec, iid_scenario)
+    # a wrongly typed value is a ScenarioError too, not a bare TypeError
+    for overrides in ({"n_elements": 3}, {"gamma_w": "1"},
+                      {"channel": {"iid_mode": "false"}}):
+        spec = SweepSpec(kind="power", grid=(0.0,), trials=1, base_seed=0,
+                         overrides=overrides)
+        with pytest.raises(SweepError, match="overrides"):
+            run_sweep(spec, iid_scenario)
 
 
 def test_grid_value_without_finite_power_names_it(iid_scenario, monkeypatch):

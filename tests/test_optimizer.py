@@ -6,8 +6,8 @@ import pytest
 from ris_crn import optimizer, sdp, srocr
 from ris_crn.channels import generate_channels, pbs_beamformer
 from ris_crn.experiments import run_trial
-from ris_crn.metrics import (DesignState, effective_su_row, pattern_gains,
-                             pu_interference, se_su, sinr_su)
+from ris_crn.metrics import (DesignState, effective_pu_row, effective_su_row,
+                             pattern_gains, pu_interference, se_su, sinr_su)
 from ris_crn.optimizer import (build_phase_problem, build_ws_problem,
                                cophased_phases, expected_cascade_power,
                                expected_direct_power, initial_phases,
@@ -88,6 +88,81 @@ def test_ws_relaxation_upper_bounds_feasible_points(iid_scenario, rng):
         hits += 1
         assert abs(np.dot(a, w)) ** 2 <= sol.objective * (1 + 1e-8)
     assert hits > 100
+
+
+def _zhang_liang_beamformer(a, b, p, gamma):
+    """argmax |a w|^2 s.t. ||w||^2 <= p, |b w|^2 <= gamma in closed form
+    (Zhang & Liang, IEEE JSTSP 2008): MRT when it keeps C1; otherwise
+    modulus sqrt(gamma)/||b|| on b^H/||b|| and the rest of the power on the
+    part of a^H orthogonal to b^H, both phases aligned with a."""
+    w_mrt = np.sqrt(p) * a.conj() / np.linalg.norm(a)
+    if abs(b @ w_mrt) ** 2 <= gamma:
+        return w_mrt
+    b_hat = b.conj() / np.linalg.norm(b)
+    a_par = np.vdot(b_hat, a.conj())
+    a_perp = a.conj() - a_par * b_hat
+    s = np.sqrt(gamma) / np.linalg.norm(b)
+    return (s * a_par / abs(a_par) * b_hat
+            + np.sqrt(p - s ** 2) * a_perp / np.linalg.norm(a_perp))
+
+
+@pytest.mark.parametrize("cap", ["slack", "binding"])
+@pytest.mark.parametrize("n_s,tilt", [
+    pytest.param(n_s, tilt, id=f"iid-ns{n_s}{tilt:+.0f}deg")
+    for n_s in (2, 4, 8) for tilt in (-30.0, -90.0)]
+    + [pytest.param(None, None, id="pathloss")])
+def test_beamformer_step_matches_closed_form(n_s, tilt, cap, scenario,
+                                             iid_scenario):
+    """The step's sqrt(lambda_1) q_1 is the subproblem's exact optimum and
+    is feasible as it comes out of the relaxation, with C1 slack (Gamma =
+    1e9) and binding (Gamma a tenth of the MRT leak)."""
+    if n_s is None:
+        sc, tilt = scenario, select_tilt(scenario).theta_tilt_deg
+    else:
+        sc = apply_overrides(iid_scenario, {"n_s": n_s})
+    ch = generate_channels(sc, seed=0)
+    state = DesignState(np.zeros(sc.n_s, dtype=complex),
+                        initial_phases(sc.n_ris, 0), tilt)
+    a = effective_su_row(state, ch, sc)
+    b = effective_pu_row(state, ch, sc)
+    w_mrt = np.sqrt(sc.p_max_w) * a.conj() / np.linalg.norm(a)
+    gamma = 1e9 if cap == "slack" else 0.1 * abs(b @ w_mrt) ** 2
+    sc = apply_overrides(sc, {"gamma_w": float(gamma)})
+    w = optimizer._solve_ws(state, ch, sc, {})
+    assert np.vdot(w, w).real <= sc.p_max_w * (1 + 1e-6)
+    assert abs(b @ w) ** 2 <= sc.gamma_w * (1 + 1e-6)
+    oracle = _zhang_liang_beamformer(a, b, sc.p_max_w, sc.gamma_w)
+    assert abs(a @ w) ** 2 == pytest.approx(abs(a @ oracle) ** 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_s", [2, 4])
+def test_zero_signal_beamformer_step(n_s, iid_scenario, monkeypatch):
+    """With h_s = G = 0 the objective is 0 and the IPM returns a
+    non-rank-one X.  Its principal eigenvector still meets both
+    constraints, so the step needs no re-solve and the design is feasible
+    with SE 0."""
+    sc = apply_overrides(iid_scenario, {"n_s": n_s})
+    ch = generate_channels(sc, seed=0)
+    ch = dataclasses.replace(ch, h_s=np.zeros_like(ch.h_s),
+                             G=np.zeros_like(ch.G))
+    steps = []
+    real_ws = optimizer._solve_ws
+
+    def ws_spy(state, channels, scenario, diag):
+        w = real_ws(state, channels, scenario, diag)
+        steps.append(state.with_beamformer(w))
+        return w
+
+    monkeypatch.setattr(optimizer, "_solve_ws", ws_spy)
+    log = _solve_log(monkeypatch)
+    res = run_algorithm1(ch, sc, seed=0, fixed_tilt_deg=-30.0)
+    assert len(log) == 1
+    assert srocr.rank_one_ratio(solve(log[0]).x) < srocr.RANK_TOL
+    (step,) = steps
+    assert np.vdot(step.w_s, step.w_s).real <= sc.p_max_w * (1 + 1e-6)
+    assert pu_interference(step, ch, sc) <= sc.gamma_w * (1 + 1e-6)
+    assert res.feasible
+    assert res.se == 0.0
 
 
 def test_phase_problem_zero_beamformer(iid_scenario):
@@ -375,11 +450,10 @@ def _solve_log(monkeypatch):
     return log
 
 
-def test_far_tilt_beamformer_relaxation_is_rank_one(iid_scenario,
-                                                    monkeypatch):
+def test_far_tilt_beamformer_relaxation_is_rank_one(iid_scenario):
     """At -180 deg the beamformer objective is ~1e-120.  Scaled to unit
     size, its 2-constraint relaxation comes out rank one at full power
-    (C1 is slack), so SROCR has nothing to re-solve."""
+    (C1 is slack)."""
     sc = apply_overrides(iid_scenario, {"n_s": 4})
     ch = generate_channels(sc, seed=0)
     state = DesignState(np.zeros(sc.n_s, dtype=complex),
@@ -392,10 +466,6 @@ def test_far_tilt_beamformer_relaxation_is_rank_one(iid_scenario,
     a = effective_su_row(state, ch, sc)
     assert sol.objective == pytest.approx(
         sc.p_max_w * np.vdot(a, a).real, rel=1e-6)
-    log = _solve_log(monkeypatch)
-    run_trial(sc, "proposed", seed=0, fixed_tilt_deg=-180.0)
-    shapes = [(p.dim, len(p.constraints)) for p in log]
-    assert (4, 2) in shapes and (4, 3) not in shapes     # no SROCR round
 
 
 def _same_problem(p, q):

@@ -161,14 +161,59 @@ def test_geometric_angle_mode(scenario):
     ("positions", "su", "x")])
 def test_non_finite_value_rejected(scenario, path, value):
     # Python's json reads NaN and Infinity, so a scenario file can carry them
+    with pytest.raises(ScenarioError, match=f"^{path[-1]} must be finite"):
+        scenario_from_dict(_doc_with(scenario, path, value))
+
+
+_DROP = object()
+
+
+def _doc_with(scenario, path, value):
+    """The scenario's document with the key at path set to value, or
+    removed for _DROP."""
     doc = scenario_to_dict(scenario)
     *parents, key = path
     target = doc
     for name in parents:
         target = target[name]
-    target[key] = value
-    with pytest.raises(ScenarioError, match=f"^{key} must be finite"):
-        scenario_from_dict(doc)
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value,message", [
+    pytest.param(("n_s",), _DROP,
+                 r"^scenario missing required keys \['n_s'\]", id="no-n_s"),
+    pytest.param(("positions", "su", "z"), _DROP,
+                 r"^positions.su missing required keys \['z'\]", id="no-z"),
+    pytest.param(("gamma_w",), "1", "^gamma_w must be a number",
+                 id="gamma_w-string"),
+    pytest.param(("positions", "su", "z"), "3", "^z must be a number",
+                 id="z-string"),
+    pytest.param(("positions", "su", "x"), True, "^x must be a number",
+                 id="x-bool"),
+    pytest.param(("pattern", "theta_3db_deg"), None,
+                 "^theta_3db_deg must be a number", id="theta_3db_deg-null"),
+    pytest.param(("channel", "iid_mode"), "false",
+                 "^iid_mode must be true or false", id="iid_mode-string"),
+    pytest.param(("angle_mode",), 3, "^angle_mode must be a string",
+                 id="angle_mode-number"),
+    pytest.param(("channel",), None, "^channel must be a JSON object",
+                 id="channel-null"),
+    pytest.param(("positions", "su"), [60, 20, 3],
+                 "^positions.su must be a JSON object", id="node-list")])
+def test_wrong_field_type_rejected(scenario, path, value, message):
+    # each of these used to raise a bare TypeError, or (iid_mode) to pass
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(_doc_with(scenario, path, value))
+
+
+def test_json_integers_accepted_in_float_fields(scenario):
+    out = apply_overrides(scenario, {"gamma_w": 2, "p_max_dbw": 10,
+                                     "pattern": {"sla_v_db": 30}})
+    assert (out.gamma_w, out.p_max_dbw, out.pattern.sla_v_db) == (2, 10, 30)
 
 
 @pytest.mark.parametrize("value", [4000.0, None])
