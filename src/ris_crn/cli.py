@@ -15,7 +15,7 @@ import sys
 import click
 
 from .channels import generate_channels
-from .experiments import SweepError, load_sweep_spec, run_sweep
+from .experiments import SweepError, TrialError, load_sweep_spec, run_sweep
 from .optimizer import run_algorithm1
 from .scenario import ScenarioError, load_scenario, paper_default
 
@@ -73,8 +73,13 @@ def sweep(spec, scenario, out_path, seed, workers):
 
     if seed is not None:
         spec = replace(spec, base_seed=seed)
-    run_sweep(spec, scenario or paper_default(), out_path=out_path,
-              workers=workers)
+    try:
+        run_sweep(spec, scenario or paper_default(), out_path=out_path,
+                  workers=workers)
+    except TrialError:
+        raise
+    except SweepError as exc:   # the spec gives no valid scenario
+        raise click.BadParameter(str(exc), param_hint="--spec") from exc
     click.echo(f"wrote {out_path}")
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -21,7 +19,8 @@ import numpy as np
 
 from .channels import generate_channels
 from .optimizer import run_algorithm1
-from .scenario import Scenario, ScenarioError, _check_angle, apply_overrides
+from .scenario import (Scenario, ScenarioError, _check_angle, _check_fields,
+                       _from_dict, _is_finite_number, apply_overrides)
 
 log = logging.getLogger(__name__)
 
@@ -33,14 +32,8 @@ class SweepError(ValueError):
     pass
 
 
-def _is_finite_number(value) -> bool:
-    """A real number other than a bool that is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:       # an int beyond the float range
-        return False
+class TrialError(SweepError):
+    """A trial that raised; the message names its cell."""
 
 
 @dataclass(frozen=True)
@@ -48,11 +41,12 @@ class SweepSpec:
     kind: str
     grid: tuple
     trials: int
-    base_seed: int
+    base_seed: int = 0
     methods: tuple = ("proposed",)
     overrides: dict | None = None
 
     def __post_init__(self):
+        _check_fields(self, SweepError)
         if self.kind not in SWEEP_KINDS:
             raise SweepError(f"kind must be one of {SWEEP_KINDS}, "
                              f"got {self.kind!r}")
@@ -60,48 +54,30 @@ class SweepSpec:
             raise SweepError("grid must be non-empty")
         for g in self.grid:
             if not _is_finite_number(g):
-                raise SweepError(f"grid values must be finite numbers, "
+                raise SweepError(f"each grid value must be a finite number, "
                                  f"got {g!r}")
             if self.kind == "elements" and (int(g) != g or g < 0):
                 raise SweepError(f"elements grid values must be "
                                  f"non-negative integers, got {g}")
             if self.kind == "tilt":
-                try:
-                    _check_angle("tilt grid value", g)
-                except ScenarioError as exc:
-                    raise SweepError(str(exc)) from exc
+                _check_angle("tilt grid value", g, SweepError)
         for key, least in (("trials", 1), ("base_seed", 0)):
             value = getattr(self, key)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise SweepError(f"{key} must be an integer, got {value!r}")
             if value < least:
                 raise SweepError(f"{key} must be >= {least}, got {value}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown or not self.methods:
             raise SweepError(f"methods must be one or more of {METHODS}, "
                              f"got {list(self.methods)}")
-        if not isinstance(self.overrides, (dict, type(None))):
-            raise SweepError(f"overrides must be an object or null, "
-                             f"got {self.overrides!r}")
 
 
 def sweepspec_from_dict(doc: dict) -> SweepSpec:
-    """Check the document's shape; SweepSpec checks the values."""
-    if not isinstance(doc, dict):
-        raise SweepError("sweep spec document must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(SweepSpec)})
-    if unknown:
-        raise SweepError(f"unknown keys in sweep spec: {unknown}")
-    missing = sorted({"kind", "grid", "trials"} - set(doc))
-    if missing:
-        raise SweepError(f"sweep spec missing required keys {missing}")
-    doc = {"base_seed": 0, "methods": ["proposed"], **doc}
-    for key in ("grid", "methods"):
-        if not isinstance(doc[key], list):
-            raise SweepError(f"{key} must be a list, got {doc[key]!r}")
-        doc[key] = tuple(doc[key])
-    return SweepSpec(**doc)
+    """SweepSpec of a JSON object; its grid and methods lists are read as
+    tuples."""
+    if isinstance(doc, dict):
+        doc = {**doc, **{key: tuple(doc[key]) for key in ("grid", "methods")
+                         if isinstance(doc.get(key), list)}}
+    return _from_dict(SweepSpec, doc, "sweep spec", SweepError)
 
 
 def load_sweep_spec(path) -> SweepSpec:
@@ -184,7 +160,7 @@ def _trial_task(args):
     try:
         return run_trial(scenario, method, seed, fixed_tilt)
     except Exception as exc:
-        raise SweepError(f"trial failed at grid_value {grid_value}, "
+        raise TrialError(f"trial failed at grid_value {grid_value}, "
                          f"method {method!r}, seed {seed}: {exc}") from exc
 
 

@@ -26,6 +26,7 @@ from .scenario import Scenario, _check_angle
 
 EPSILON = 1e-3         # relative SE gain below which the loop stops
 MAX_OUTER_ITERS = 20
+C1_REPAIR_PASSES = 8   # extra C1 rescales after one that missed the cap
 
 
 @dataclass(frozen=True)
@@ -237,17 +238,27 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
         A beamformer meets C1 and the budget only to the IPM's tolerance,
         and a phase move changes the effective PU row under the kept
         beamformer, so the beamformer is scaled down until both hold with
-        margin; returns the kept state and its SE.
+        margin (or C1_REPAIR_PASSES more rescales have missed); returns
+        the kept state and its SE.
         """
         scale2 = 1.0
         power = float(np.vdot(cand.w_s, cand.w_s).real)
         if power > scenario.p_max_w:
             scale2 = min(scale2, scenario.p_max_w / power)
+        cap = scenario.gamma_w * (1.0 - 1e-9)
         leak = pu_interference(cand, channels, scenario)
-        if leak > scenario.gamma_w * (1.0 - 1e-9):
-            scale2 = min(scale2, scenario.gamma_w * (1.0 - 1e-9) / leak)
+        leak_rescaled = leak > cap
+        if leak_rescaled:
+            scale2 = min(scale2, cap / leak)
         if scale2 < 1.0:
             cand = cand.with_beamformer(cand.w_s * np.sqrt(scale2))
+        # where |b w| sits at the rounding floor of ||b|| ||w||, one
+        # rescale can land above the cap; repeat it while it does
+        for _ in range(C1_REPAIR_PASSES if leak_rescaled else 0):
+            leak = pu_interference(cand, channels, scenario)
+            if leak <= scenario.gamma_w:
+                break
+            cand = cand.with_beamformer(cand.w_s * np.sqrt(cap / leak))
         se_cand = se_su(sinr_su(cand, channels, w_p, scenario))
         return (cand, se_cand) if se_cand >= se else (current, se)
 

@@ -22,34 +22,46 @@ class ScenarioError(ValueError):
     """Raised when a scenario document violates an invariant."""
 
 
-def _check_fields(obj):
-    """Check every scalar field against its annotation.
+def _is_finite_number(value) -> bool:
+    """A real number other than a bool that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int beyond the float range
+        return False
+
+
+def _check_fields(obj, error=ScenarioError):
+    """Check every field against its annotation, raising ``error``.
 
     ``float`` takes a finite number, a JSON integer included but not a
-    bool; ``float | None`` also takes None; ``int`` takes an integer,
-    ``bool`` only true or false and ``str`` a string.  Fields of other
-    types are built and checked by their own classes.
+    bool; ``float | None`` also takes None; ``int`` takes an integer
+    (numpy's too) but not a bool, ``bool`` only true or false, ``str`` a
+    string, ``tuple`` a tuple (a JSON list once loaded) and ``dict | None``
+    an object or None.  Fields of other types are built and checked by
+    their own classes.
     """
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type == "float | None" and value is None:
+        if f.type in ("float | None", "dict | None") and value is None:
             continue
         if f.type in ("float", "float | None"):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ScenarioError(f"{f.name} must be a number, got {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:       # an int beyond the float range
-                finite = False
-            if not finite:
-                raise ScenarioError(f"{f.name} must be finite, got {value}")
+                raise error(f"{f.name} must be a number, got {value!r}")
+            if not _is_finite_number(value):
+                raise error(f"{f.name} must be finite, got {value}")
         elif f.type == "int" and (isinstance(value, bool)
-                                  or not isinstance(value, int)):
-            raise ScenarioError(f"{f.name} must be an integer, got {value!r}")
+                                  or not isinstance(value, numbers.Integral)):
+            raise error(f"{f.name} must be an integer, got {value!r}")
         elif f.type == "bool" and not isinstance(value, bool):
-            raise ScenarioError(f"{f.name} must be true or false, got {value!r}")
+            raise error(f"{f.name} must be true or false, got {value!r}")
         elif f.type == "str" and not isinstance(value, str):
-            raise ScenarioError(f"{f.name} must be a string, got {value!r}")
+            raise error(f"{f.name} must be a string, got {value!r}")
+        elif f.type == "tuple" and not isinstance(value, tuple):
+            raise error(f"{f.name} must be a list, got {value!r}")
+        elif f.type == "dict | None" and not isinstance(value, dict):
+            raise error(f"{f.name} must be an object or null, got {value!r}")
 
 
 def dbm_to_watts(x: float) -> float:
@@ -111,11 +123,11 @@ class ChannelParams:
             )
 
 
-def _check_angle(name, value):
-    if value is None:
-        return
-    if not (-180.0 <= value <= 0.0):
-        raise ScenarioError(f"{name} must lie in [-180, 0] degrees, got {value}")
+def _check_angle(name, value, error=ScenarioError):
+    """None, or a finite number of degrees in [-180, 0]."""
+    if value is not None and not (_is_finite_number(value)
+                                  and -180.0 <= value <= 0.0):
+        raise error(f"{name} must lie in [-180, 0] degrees, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -209,18 +221,18 @@ def elevation_deg(src: NodePosition, dst: NodePosition) -> float:
 
 # -- JSON loading ---------------------------------------------------------
 
-def _from_dict(cls, doc, where: str):
+def _from_dict(cls, doc, where: str, error=ScenarioError):
     """cls(**doc) for a JSON object whose keys are cls's fields, every
-    field without a default among them."""
+    field without a default among them; a violation raises ``error``."""
     if not isinstance(doc, dict):
-        raise ScenarioError(f"{where} must be a JSON object, got {doc!r}")
+        raise error(f"{where} must be a JSON object, got {doc!r}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
-        raise ScenarioError(f"unknown keys in {where}: {unknown}")
+        raise error(f"unknown keys in {where}: {unknown}")
     missing = [f.name for f in fields(cls) if f.name not in doc
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ScenarioError(f"{where} missing required keys {missing}")
+        raise error(f"{where} missing required keys {missing}")
     return cls(**doc)
 
 

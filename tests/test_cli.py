@@ -111,7 +111,12 @@ def _spec_doc(**changes):
     pytest.param("--spec", json.dumps(_spec_doc(trials=0)),
                  "trials must be >= 1", id="spec-zero-trials"),
     pytest.param("--spec", json.dumps([_spec_doc()]),
-                 "must be a JSON object", id="spec-list")])
+                 "must be a JSON object", id="spec-list"),
+    pytest.param("--spec", json.dumps(_spec_doc(overrides={"n_s": 0})),
+                 "n_s must be >= 1", id="spec-overrides-bad-scenario"),
+    pytest.param("--spec", json.dumps(_spec_doc(grid=[4000])),
+                 "p_max_dbw must give a finite power",
+                 id="spec-grid-bad-scenario")])
 def test_bad_input_document_is_usage_error(runner, tmp_path, option, text,
                                            message):
     paths = {"--spec": tmp_path / "spec.json",

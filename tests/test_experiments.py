@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -5,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ris_crn.channels import generate_channels, pbs_beamformer
-from ris_crn.experiments import (CSV_COLUMNS, SweepError, SweepSpec,
+from ris_crn.experiments import (CSV_COLUMNS, METHODS, SweepError, SweepSpec,
                                  load_sweep_spec, run_sweep, run_trial,
                                  sweepspec_from_dict)
 from ris_crn.metrics import se_su
@@ -109,6 +111,47 @@ def test_spec_json_loading(tmp_path):
     assert spec.trials == 3
     assert spec.base_seed == 7
     assert spec.methods == ("proposed", "no_ris")
+
+
+def test_spec_defaults_and_numpy_integers():
+    spec = SweepSpec(kind="tilt", grid=(-30.0,), trials=np.int64(2))
+    assert (spec.trials, spec.base_seed, spec.methods) == (2, 0, ("proposed",))
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text(max_size=5))
+_GRIDS = {
+    "tilt": st.floats(min_value=-180, max_value=0) | st.integers(-180, 0),
+    "elements": st.integers(0, 64),
+    "power": st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-50, 50),
+}
+
+
+@st.composite
+def _spec_docs(draw):
+    kind = draw(st.sampled_from(sorted(_GRIDS)))
+    return {"kind": kind,
+            "grid": draw(st.lists(_GRIDS[kind], min_size=1, max_size=5)),
+            "trials": draw(st.integers(1, 10 ** 6)),
+            "base_seed": draw(st.integers(0, 2 ** 63)),
+            "methods": draw(st.lists(st.sampled_from(METHODS), min_size=1,
+                                     max_size=4)),
+            "overrides": draw(st.none() | st.dictionaries(
+                st.text(max_size=8), st.recursive(
+                    _JSON_SCALARS,
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=5), inner,
+                                      max_size=3),
+                    max_leaves=6), max_size=3))}
+
+
+@given(_spec_docs())
+def test_spec_document_round_trip(doc):
+    spec = sweepspec_from_dict(json.loads(json.dumps(doc)))
+    assert dataclasses.asdict(spec) == {
+        **doc, "grid": tuple(doc["grid"]), "methods": tuple(doc["methods"])}
 
 
 def test_trial_deterministic(iid_scenario):

@@ -264,7 +264,8 @@ def test_fixed_tilt_override(iid_scenario):
     assert res.tilt.branch == "fixed"
 
 
-@pytest.mark.parametrize("tilt", [30.0, -180.5, float("nan")])
+@pytest.mark.parametrize("tilt", [30.0, -180.5, float("nan"), "x", False,
+                                  pytest.param([1], id="list")])
 def test_fixed_tilt_outside_range_rejected_before_any_solve(
         iid_scenario, tilt, monkeypatch):
     def no_solve(problem):
@@ -316,6 +317,16 @@ def test_geometric_tilt_above_range_is_infeasible(iid_scenario):
     assert res.tilt.branch == "ris"
     assert res.state.theta_tilt_deg > 0.0
     assert not res.feasible
+
+
+def test_c1_repair_reaches_cap_at_rounding_floor(iid_scenario):
+    """With Γ = 1e-30, |b w| sits at the rounding floor of ||b|| ||w||, and
+    the one C1 rescale of this instance lands 29% above Γ."""
+    sc = apply_overrides(iid_scenario, {"gamma_w": 1e-30, "n_ris": 1,
+                                        "n_s": 8})
+    res = run_algorithm1(generate_channels(sc, seed=2), sc, seed=2)
+    assert res.feasible
+    assert res.pu_interference_w <= sc.gamma_w
 
 
 def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):

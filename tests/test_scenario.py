@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -214,6 +215,10 @@ def test_json_integers_accepted_in_float_fields(scenario):
     out = apply_overrides(scenario, {"gamma_w": 2, "p_max_dbw": 10,
                                      "pattern": {"sla_v_db": 30}})
     assert (out.gamma_w, out.p_max_dbw, out.pattern.sla_v_db) == (2, 10, 30)
+
+
+def test_numpy_integer_accepted_in_int_fields(scenario):
+    assert apply_overrides(scenario, {"n_s": np.int64(2)}).n_s == 2
 
 
 @pytest.mark.parametrize("value", [4000.0, None])
