@@ -129,7 +129,7 @@ def _cell_setup(spec: SweepSpec, scenario: Scenario, grid_value):
 
 
 def run_trial(scenario: Scenario, method: str, seed: int,
-              fixed_tilt_deg: float = None) -> TrialResult:
+              fixed_tilt_deg: float | None = None) -> TrialResult:
     """One channel draw, one method.
 
     ``proposed`` runs the full alternating optimization; ``random_phase``

@@ -36,10 +36,10 @@ class DesignState:
 def pattern_gains(state: DesignState,
                   scenario: Scenario) -> tuple[float, float, float]:
     """(A_d, A_r, A_i) power gains for the current tilt."""
-    th_d, th_r, th_i = scenario.elevation_angles_deg()
     g = lambda th_x: vertical_gain_linear(state.theta_tilt_deg, th_x,
                                           scenario.pattern)
-    return g(th_d), g(th_r), g(th_i)
+    return (g(scenario.theta_d_deg), g(scenario.theta_r_deg),
+            g(scenario.theta_i_deg))
 
 
 def _effective_row(direct: np.ndarray, cascade_rx: np.ndarray,

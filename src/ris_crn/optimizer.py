@@ -75,15 +75,14 @@ def expected_cascade_power(w_s: np.ndarray, sigma2: float, n_ris: int) -> float:
 def select_tilt(scenario: Scenario) -> TiltDecision:
     """Point the tilt at the RIS or at the SU, whichever path carries more
     expected power under the iid model (sigma^4 N against sigma^2)."""
-    th_d, th_r, _ = scenario.elevation_angles_deg()
     w_ref = np.ones(1)
     direct = expected_direct_power(w_ref, scenario.channel.channel_sigma2)
     cascade = expected_cascade_power(w_ref, scenario.channel.channel_sigma2,
                                      scenario.n_ris)
     # ties point at the RIS, matching the large-N regime
     if cascade >= direct:
-        return TiltDecision(th_r, "ris", direct, cascade)
-    return TiltDecision(th_d, "direct", direct, cascade)
+        return TiltDecision(scenario.theta_r_deg, "ris", direct, cascade)
+    return TiltDecision(scenario.theta_d_deg, "direct", direct, cascade)
 
 
 # -- subproblem builders --------------------------------------------------
@@ -205,7 +204,7 @@ def _solve_phases(state: DesignState, channels: ChannelSet,
 
 
 def run_algorithm1(channels: ChannelSet, scenario: Scenario,
-                   seed: int = 0, fixed_tilt_deg: float = None,
+                   seed: int = 0, fixed_tilt_deg: float | None = None,
                    update_phases: bool = True,
                    zero_phase_start: bool = False) -> OptimizerResult:
     """Alternating beamformer/phase optimization at a fixed tilt.
@@ -297,8 +296,7 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     leak = pu_interference(state, channels, scenario)
     power = float(np.vdot(state.w_s, state.w_s).real)
     feasible = (leak <= scenario.gamma_w * (1.0 + 1e-6)
-                and power <= scenario.p_max_w * (1.0 + 1e-6)
-                and -180.0 <= state.theta_tilt_deg <= 0.0)
+                and power <= scenario.p_max_w * (1.0 + 1e-6))
     return OptimizerResult(state=state, se_trace=se_trace, tilt=tilt,
                            pu_interference_w=leak, power_w=power,
                            feasible=feasible, diagnostics=diagnostics)

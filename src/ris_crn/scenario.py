@@ -124,9 +124,8 @@ class ChannelParams:
 
 
 def _check_angle(name, value, error=ScenarioError):
-    """None, or a finite number of degrees in [-180, 0]."""
-    if value is not None and not (_is_finite_number(value)
-                                  and -180.0 <= value <= 0.0):
+    """A finite number of degrees in [-180, 0]."""
+    if not (_is_finite_number(value) and -180.0 <= value <= 0.0):
         raise error(f"{name} must lie in [-180, 0] degrees, got {value!r}")
 
 
@@ -140,12 +139,11 @@ class Scenario:
     pp_dbw: float
     gamma_w: float
     noise_dbm: float
-    theta_d_deg: float | None = None
-    theta_r_deg: float | None = None
-    theta_i_deg: float | None = None
+    theta_d_deg: float     # elevation toward the SU
+    theta_r_deg: float     # elevation toward the RIS
+    theta_i_deg: float     # elevation toward the PU
     pattern: PatternParams = field(default_factory=PatternParams)
     channel: ChannelParams = field(default_factory=ChannelParams)
-    angle_mode: str = "configured"
 
     def __post_init__(self):
         # before the field check, so that a dB field that is null reads as
@@ -173,12 +171,6 @@ class Scenario:
             raise ScenarioError(f"gamma_w must be > 0, got {self.gamma_w}")
         if self.noise_w <= 0:
             raise ScenarioError(f"noise_dbm {self.noise_dbm} gives no noise power")
-        if self.angle_mode not in ("configured", "geometric"):
-            raise ScenarioError(f"angle_mode must be configured|geometric, got {self.angle_mode!r}")
-        if self.angle_mode == "configured":
-            for name in ("theta_d_deg", "theta_r_deg", "theta_i_deg"):
-                if getattr(self, name) is None:
-                    raise ScenarioError(f"{name} is required in configured angle mode")
         for name in ("theta_d_deg", "theta_r_deg", "theta_i_deg"):
             _check_angle(name, getattr(self, name))
         # co-location check (path loss diverges at d = 0)
@@ -194,20 +186,8 @@ class Scenario:
         return dbw_to_watts(self.p_max_dbw)
 
     @property
-    def pp_w(self) -> float:
-        return dbw_to_watts(self.pp_dbw)
-
-    @property
     def noise_w(self) -> float:
         return dbm_to_watts(self.noise_dbm)
-
-    def elevation_angles_deg(self):
-        """(theta_d, theta_r, theta_i) in the active angle mode."""
-        if self.angle_mode == "configured":
-            return (self.theta_d_deg, self.theta_r_deg, self.theta_i_deg)
-        sbs = self.positions["sbs"]
-        return tuple(elevation_deg(sbs, self.positions[node])
-                     for node in ("su", "ris", "pu"))
 
     def replace(self, **kwargs) -> "Scenario":
         return dataclasses.replace(self, **kwargs)
@@ -259,13 +239,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
     """Deep-merge a partial scenario document and re-validate."""
-    doc = scenario_to_dict(scenario)
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(doc.get(key), dict):
-            doc[key] = {**doc[key], **value}
-        else:
-            doc[key] = value
-    return scenario_from_dict(doc)
+    def merge(doc, part):
+        for key, value in part.items():
+            both = isinstance(value, dict) and isinstance(doc.get(key), dict)
+            doc[key] = merge(doc[key], value) if both else value
+        return doc
+    return scenario_from_dict(merge(scenario_to_dict(scenario), overrides))
 
 
 def load_scenario(path) -> Scenario:

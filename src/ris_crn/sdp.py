@@ -1,6 +1,6 @@
 """Dense semidefinite programming over small Hermitian matrices.
 
-Solves  maximize tr(C X)  s.t.  tr(A_i X) {<=,=,>=} b_i,  X >= 0 (PSD)
+Solves  maximize tr(C X)  s.t.  tr(A_i X) {<=,=} b_i,  X >= 0 (PSD)
 with a primal-dual path-following interior-point method (Mehrotra
 predictor-corrector, HKM direction) run directly in complex Hermitian
 arithmetic.  Problem dimensions here stay below ~70, so everything is dense.
@@ -35,12 +35,12 @@ def check_hermitian(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 @dataclass(frozen=True)
 class SdpConstraint:
     a: np.ndarray       # Hermitian coefficient matrix
-    relation: str       # one of "<=", "=", ">="
+    relation: str       # "<=" or "="; tr(A X) >= b is (-A, "<=", -b)
     b: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", check_hermitian(self.a, "constraint matrix"))
-        if self.relation not in ("<=", "=", ">="):
+        if self.relation not in ("<=", "="):
             raise SdpError(f"unknown relation {self.relation!r}")
         if not np.isfinite(self.b):
             raise SdpError("constraint bound must be finite")
@@ -76,8 +76,6 @@ class SdpProblem:
             scale = 1.0 + abs(con.b)
             if con.relation == "<=":
                 worst = max(worst, (val - con.b) / scale)
-            elif con.relation == ">=":
-                worst = max(worst, (con.b - val) / scale)
             else:
                 worst = max(worst, abs(val - con.b) / scale)
         return worst
@@ -140,16 +138,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
     if m == 0:
         raise SdpError("problem needs at least one constraint bounding X")
 
-    # normalize: flip >= to <=, scale objective and constraints to unit size
+    # normalize: scale objective and constraints to unit size
     cmat = problem.c / _unit_scale(problem.c)
     amats = np.empty((m, n, n), dtype=complex)
     bvec = np.empty(m)
     ineq = np.empty(m, dtype=bool)
     for i, con in enumerate(problem.constraints):
-        sgn = -1.0 if con.relation == ">=" else 1.0
         sc = _unit_scale(con.a, con.b)
-        amats[i] = sgn * con.a / sc
-        bvec[i] = sgn * con.b / sc
+        amats[i] = con.a / sc
+        bvec[i] = con.b / sc
         ineq[i] = con.relation != "="
     k = int(ineq.sum())
     aconj_flat = amats.conj().reshape(m, n * n)

@@ -3,9 +3,11 @@
 After the semidefinite relaxation is solved, the rank-one constraint is
 restored gradually: each round adds the alignment constraint
 ``q^H X q >= w * tr(X)`` with ``q`` the principal eigenvector of the previous
-round's solution, and re-solves while pushing ``w`` toward 1.  A Gaussian
-randomization fallback guarantees a feasible vector even when the schedule
-stalls.
+round's solution, and re-solves while pushing ``w`` toward 1.  When the
+schedule stalls, a Gaussian randomization fallback returns the best
+feasible unit-modulus draw, or the least-violating one when no draw is
+feasible; the optimizer then scales the beamformer down to meet the
+interference cap.
 
 The optimizer runs it only on phase steps where co-phasing violates the
 interference cap; its beamformer relaxation is tight and needs no recovery.
@@ -98,9 +100,9 @@ def refine(problem: SdpProblem, relaxed: SdpSolution,
         sol = None
         if w_try != failed_w:
             align = _align_direction(q, unit_modulus)
-            # a^H X a >= w * tr(X)  <=>  tr((a a^H - w I) X) >= 0
+            # a^H X a >= w * tr(X)  <=>  tr((w I - a a^H) X) <= 0
             sol = sdp.solve(problem.with_constraint(
-                np.outer(align, align.conj()) - w_try * np.eye(n), ">=", 0.0))
+                w_try * np.eye(n) - np.outer(align, align.conj()), "<=", 0.0))
         if sol is None or sol.status != "optimal":
             failed_w = w_try
             delta *= SHRINK

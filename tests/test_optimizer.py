@@ -12,7 +12,7 @@ from ris_crn.optimizer import (build_phase_problem, build_ws_problem,
                                cophased_phases, expected_cascade_power,
                                expected_direct_power, initial_phases,
                                run_algorithm1, select_tilt)
-from ris_crn.scenario import NodePosition, apply_overrides, elevation_deg
+from ris_crn.scenario import apply_overrides
 from ris_crn.sdp import solve
 
 
@@ -290,33 +290,6 @@ def test_zero_phase_start(iid_scenario):
                          zero_phase_start=True)
     np.testing.assert_array_equal(res.state.phases,
                                   np.zeros(iid_scenario.n_ris))
-
-
-def test_geometric_angle_mode_matches_configured_angles(iid_scenario):
-    geo = iid_scenario.replace(angle_mode="geometric")
-    p = geo.positions
-    conf = iid_scenario.replace(theta_d_deg=elevation_deg(p["sbs"], p["su"]),
-                                theta_r_deg=elevation_deg(p["sbs"], p["ris"]),
-                                theta_i_deg=elevation_deg(p["sbs"], p["pu"]))
-    ch = generate_channels(geo, seed=5)
-    r_geo = run_algorithm1(ch, geo, seed=5)
-    r_conf = run_algorithm1(ch, conf, seed=5)
-    assert r_geo.se > 0.0
-    assert r_geo.se_trace == r_conf.se_trace
-
-
-def test_geometric_tilt_above_range_is_infeasible(iid_scenario):
-    """A derived elevation is not range-checked at load: with the RIS above
-    the SBS the tilt points upward, and the result must not count as
-    feasible."""
-    p = dict(iid_scenario.positions)
-    p["ris"] = NodePosition(p["ris"].x, p["ris"].y, p["sbs"].z + 20.0)
-    geo = iid_scenario.replace(angle_mode="geometric", positions=p)
-    ch = generate_channels(geo, seed=5)
-    res = run_algorithm1(ch, geo, seed=5)
-    assert res.tilt.branch == "ris"
-    assert res.state.theta_tilt_deg > 0.0
-    assert not res.feasible
 
 
 def test_c1_repair_reaches_cap_at_rounding_floor(iid_scenario):

@@ -83,7 +83,6 @@ def test_paper_default_values(scenario):
 
 def test_derived_powers(scenario):
     assert scenario.p_max_w == pytest.approx(10.0)
-    assert scenario.pp_w == pytest.approx(10**0.5)
     assert scenario.noise_w == pytest.approx(1e-12)
 
 
@@ -104,7 +103,7 @@ def test_unknown_key_rejected(scenario):
     doc["gamma_W"] = doc.pop("gamma_w")
     with pytest.raises(ScenarioError, match="gamma_W"):
         scenario_from_dict(doc)
-    for key in ("phi_d_deg", "phi_r_deg", "phi_i_deg"):
+    for key in ("phi_d_deg", "phi_r_deg", "phi_i_deg", "angle_mode"):
         with pytest.raises(ScenarioError, match=key):
             apply_overrides(scenario, {key: -10.0})
 
@@ -142,15 +141,6 @@ def test_angle_out_of_range_rejected(scenario):
 def test_nonpositive_interference_cap_rejected(scenario):
     with pytest.raises(ScenarioError, match="gamma_w"):
         scenario.replace(gamma_w=0.0)
-
-
-def test_geometric_angle_mode(scenario):
-    geo = scenario.replace(angle_mode="geometric")
-    th_d, th_r, th_i = geo.elevation_angles_deg()
-    p = scenario.positions
-    assert th_d == elevation_deg(p["sbs"], p["su"])
-    assert th_r == elevation_deg(p["sbs"], p["ris"])
-    assert th_i == elevation_deg(p["sbs"], p["pu"])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -199,8 +189,8 @@ def _doc_with(scenario, path, value):
                  "^theta_3db_deg must be a number", id="theta_3db_deg-null"),
     pytest.param(("channel", "iid_mode"), "false",
                  "^iid_mode must be true or false", id="iid_mode-string"),
-    pytest.param(("angle_mode",), 3, "^angle_mode must be a string",
-                 id="angle_mode-number"),
+    pytest.param(("theta_d_deg",), None, "^theta_d_deg must be a number",
+                 id="theta_d_deg-null"),
     pytest.param(("channel",), None, "^channel must be a JSON object",
                  id="channel-null"),
     pytest.param(("positions", "su"), [60, 20, 3],
@@ -235,11 +225,14 @@ def test_round_trip_dict(scenario):
 
 def test_apply_overrides_nested(scenario):
     out = apply_overrides(scenario, {"n_ris": 8,
-                                     "channel": {"iid_mode": True}})
+                                     "channel": {"iid_mode": True},
+                                     "positions": {"su": {"x": 1.0}}})
     assert out.n_ris == 8
     assert out.channel.iid_mode is True
     assert out.channel.alpha == scenario.channel.alpha
-    assert out.positions == scenario.positions
+    # the merge reaches every depth: su keeps its y and z
+    assert out.positions == {**scenario.positions,
+                             "su": NodePosition(1.0, 20, 3)}
 
 
 def test_apply_overrides_rejects_unknown(scenario):

@@ -36,6 +36,12 @@ def test_embedding_rejects_non_hermitian(rng):
         principal_eigpair(m)
 
 
+def test_greater_or_equal_relation_rejected():
+    # tr(A X) >= b is written as (-A, "<=", -b)
+    with pytest.raises(sdp.SdpError, match="unknown relation"):
+        SdpConstraint(np.eye(2), ">=", 1.0)
+
+
 # -- solver ---------------------------------------------------------------
 
 def test_rank_one_objective_trace_ball(rng):
@@ -54,7 +60,7 @@ def test_rank_one_objective_trace_ball(rng):
 def test_contradictory_trace_constraints_infeasible():
     problem = SdpProblem(np.eye(2),
                          [SdpConstraint(np.eye(2), "<=", 1.0),
-                          SdpConstraint(np.eye(2), ">=", 2.0)])
+                          SdpConstraint(-np.eye(2), "<=", -2.0)])
     sol = solve(problem)
     assert sol.status == "infeasible"
 

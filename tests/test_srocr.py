@@ -41,7 +41,7 @@ def test_refine_noop_when_already_rank_one(rng):
 
 def test_refine_requires_optimal_input(rng):
     problem = SdpProblem(np.eye(2), [SdpConstraint(np.eye(2), "<=", 1.0),
-                                     SdpConstraint(np.eye(2), ">=", 2.0)])
+                                     SdpConstraint(-np.eye(2), "<=", -2.0)])
     relaxed = solve(problem)
     with pytest.raises(SrocrError):
         refine(problem, relaxed)
