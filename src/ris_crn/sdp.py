@@ -1,9 +1,17 @@
-"""Dense semidefinite programming over small Hermitian matrices.
+"""Semidefinite programming over small Hermitian matrices.
 
 Solves  maximize tr(C X)  s.t.  tr(A_i X) {<=,=} b_i,  X >= 0 (PSD)
 with a primal-dual path-following interior-point method (Mehrotra
 predictor-corrector, HKM direction) run directly in complex Hermitian
-arithmetic.  Problem dimensions here stay below ~70, so everything is dense.
+arithmetic.  Problem dimensions here stay below ~70, so X and Z are dense.
+The constraints are split once, at set-up: a diagonal-entry constraint,
+A_i = d_i e_p e_p^T, touches only X_pp, and the Schur complement block of
+two such rows is d_i d_j Re(X_pq Zinv_qp), so the N+1 unit-modulus rows of
+a phase SDP cost O(n^2) per iteration in all (Helmberg, Rendl, Vanderbei &
+Wolkowicz, SIAM J. Optim. 1996).  Only the other rows, the interference cap
+and an SROCR alignment, go through dense X A_j Zinv products.  The maps
+A(X) and A^T(y) stay one dense product each, which at these sizes is as
+fast as the split.
 """
 
 from __future__ import annotations
@@ -131,6 +139,49 @@ def _unit_scale(mat: np.ndarray, b: float = 0.0) -> float:
     return scale
 
 
+class _SchurComplement:
+    """HKM Schur complement M_ij = Re tr(A_i X A_j Zinv) of a constraint
+    stack, assembled in blocks from its diagonal-entry rows (A_i =
+    d_i e_p e_p^T) and its dense rows.
+
+    Swapping i and j conjugates the trace, so M is symmetric.  A diagonal
+    row meets a dense row j in d_i Re(X A_j Zinv)_pp, so only the dense rows
+    need the products X A_j Zinv.  Without diagonal-entry rows, as in the
+    beamformer SDP, M is the dense block alone.
+    """
+
+    def __init__(self, amats: np.ndarray):
+        m, n, _ = amats.shape
+        flat = amats.reshape(m, n * n)
+        nonzero = flat != 0
+        # a Hermitian matrix's one nonzero entry can only be on the diagonal
+        is_diag = nonzero.sum(axis=1) == 1
+        di, gi = np.flatnonzero(is_diag), np.flatnonzero(~is_diag)
+        self.pos = np.argmax(nonzero[di], axis=1) // (n + 1)   # the p of e_p
+        self.d = flat[di, self.pos * (n + 1)].real
+        self.dd = np.outer(self.d, self.d)
+        self.dense = amats[gi]
+        self.dense_conj_flat = flat[gi].conj()
+        self.ix_pp = np.ix_(self.pos, self.pos)
+        self.ix_gg, self.ix_dd = np.ix_(gi, gi), np.ix_(di, di)
+        self.ix_dg, self.ix_gd = np.ix_(di, gi), np.ix_(gi, di)
+        self.shape = (m, m)
+
+    def __call__(self, x: np.ndarray, zinv: np.ndarray) -> np.ndarray:
+        t = x @ self.dense @ zinv                  # (dense rows, n, n)
+        dense_block = (self.dense_conj_flat
+                       @ t.reshape(self.dense_conj_flat.shape).T).real
+        if not self.pos.size:
+            return dense_block
+        big_m = np.empty(self.shape)
+        big_m[self.ix_gg] = dense_block
+        big_m[self.ix_dd] = self.dd * (x[self.ix_pp] * zinv[self.ix_pp].T).real
+        cross = self.d[:, None] * t[:, self.pos, self.pos].real.T
+        big_m[self.ix_dg] = cross
+        big_m[self.ix_gd] = cross.T
+        return big_m
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
     """Interior-point solve; deterministic for fixed inputs."""
     n = problem.dim
@@ -148,6 +199,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         amats[i] = con.a / sc
         bvec[i] = con.b / sc
         ineq[i] = con.relation != "="
+    schur = _SchurComplement(amats)
     k = int(ineq.sum())
     aconj_flat = amats.conj().reshape(m, n * n)
     a_flat = amats.reshape(m, n * n)
@@ -198,15 +250,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = "numerical-failure"
             break
 
-        # inverse lower Cholesky factors of X and Z; the factors' upper
-        # triangles are zero and ztrtri leaves them so
-        try:
-            ell = np.linalg.cholesky(np.stack((x, z)))
-        except np.linalg.LinAlgError:
+        # inverse lower Cholesky factors of X and Z; zpotrf zeroes the
+        # factor's upper triangle and ztrtri leaves it so
+        ell_x, info_x = sla.lapack.zpotrf(x, lower=1)
+        ell_z, info_z = sla.lapack.zpotrf(z, lower=1)
+        if info_x or info_z:
             status = "numerical-failure"
             break
-        linv_x, info_x = sla.lapack.ztrtri(ell[0], lower=1)
-        linv_z, info_z = sla.lapack.ztrtri(ell[1], lower=1)
+        linv_x, info_x = sla.lapack.ztrtri(ell_x, lower=1)
+        linv_z, info_z = sla.lapack.ztrtri(ell_z, lower=1)
         if info_x or info_z:
             status = "numerical-failure"
             break
@@ -215,8 +267,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         zinv = 0.5 * (zinv + zinv.conj().T)
 
         # Schur complement M_ij = <A_i, X A_j Zinv> (+ s_i/y_i on the diagonal)
-        t = x @ amats @ zinv                       # (m, n, n)
-        big_m = (aconj_flat @ t.reshape(m, n * n).T).real
+        big_m = schur(x, zinv)
         diag = np.zeros(m)
         diag[ineq] = s[ineq] / y[ineq]
         big_m = big_m + np.diag(diag)

@@ -103,6 +103,11 @@ def refine(problem: SdpProblem, relaxed: SdpSolution,
             # a^H X a >= w * tr(X)  <=>  tr((w I - a a^H) X) <= 0
             sol = sdp.solve(problem.with_constraint(
                 w_try * np.eye(n) - np.outer(align, align.conj()), "<=", 0.0))
+        # A unit-modulus round at w_try = 1 has one feasible point:
+        # tr((I - a a^H) X) <= 0 forces X = c a a^H, and the unit diagonal
+        # gives X = u u^H with u = sqrt(n) a.  With no interior point the
+        # solve ends non-optimal even where u u^H meets C1, so such a round
+        # counts as failed although its problem is feasible.
         if sol is None or sol.status != "optimal":
             failed_w = w_try
             delta *= SHRINK

@@ -473,6 +473,42 @@ def test_no_identical_consecutive_solves(iid_scenario, monkeypatch):
     assert trial.outer_iterations == 6
 
 
+def test_failed_phase_solves_are_full_weight_rounds_with_no_interior(
+        iid_scenario, monkeypatch):
+    """Every non-optimal phase solve of the -30 deg seed-2 trial is an
+    SROCR round at weight 1.  With a = u / sqrt(n) and u unit-modulus,
+    tr((I - a a^H) X) <= 0 forces X = c a a^H, and the unit diagonal fixes
+    X = u u^H: the round has exactly one feasible point and no interior,
+    so the interior-point method fails on it.  That point meets C1 with a
+    margin of 4% or more, so the round is feasible, not infeasible."""
+    sc = apply_overrides(iid_scenario, {"n_s": 4})
+    log = []
+    real = sdp.solve
+
+    def spy(problem):
+        sol = real(problem)
+        log.append((problem, sol.status))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    run_trial(sc, "proposed", seed=2, fixed_tilt_deg=-30.0)
+    failed = [problem for problem, status in log if status != "optimal"]
+    assert len(failed) == 4
+    for problem in failed:
+        n = problem.dim
+        assert (n, len(problem.constraints)) == (sc.n_ris + 1, n + 2)
+        align = problem.constraints[-1]
+        assert align.relation == "<=" and align.b == 0.0
+        vals, vecs = np.linalg.eigh(np.eye(n) - align.a)    # = a a^H at w = 1
+        np.testing.assert_allclose(vals[:-1], 0.0, atol=1e-12)
+        u = np.sqrt(n * vals[-1]) * vecs[:, -1]
+        np.testing.assert_allclose(np.abs(u), 1.0, rtol=1e-12)
+        point = np.outer(u, u.conj())
+        assert problem.constraint_violation(point) <= 1e-12
+        c1 = problem.constraints[0]
+        assert float(np.vdot(u, c1.a @ u).real) <= (1 - 0.04) * c1.b
+
+
 @pytest.mark.parametrize("method", ["random_phase", "fixed_zero_phase",
                                     "no_ris"])
 def test_fixed_phase_methods_solve_only_in_first_iteration(

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ris_crn.scenario import (NodePosition, Scenario, ScenarioError,
-                              apply_overrides, dbm_to_watts, dbw_to_watts,
-                              elevation_deg, paper_default,
+from ris_crn.scenario import (NodePosition, ScenarioError, apply_overrides,
+                              dbm_to_watts, dbw_to_watts, elevation_deg,
                               scenario_from_dict, scenario_to_dict)
 
 
@@ -126,13 +125,6 @@ def test_bad_sizes_rejected(scenario, key, value):
         apply_overrides(scenario, {key: value})
 
 
-def test_missing_angle_in_configured_mode(scenario):
-    doc = scenario_to_dict(scenario)
-    doc["theta_r_deg"] = None
-    with pytest.raises(ScenarioError, match="theta_r_deg"):
-        scenario_from_dict(doc)
-
-
 def test_angle_out_of_range_rejected(scenario):
     with pytest.raises(ScenarioError, match="theta_d_deg"):
         scenario.replace(theta_d_deg=30.0)
@@ -191,6 +183,8 @@ def _doc_with(scenario, path, value):
                  "^iid_mode must be true or false", id="iid_mode-string"),
     pytest.param(("theta_d_deg",), None, "^theta_d_deg must be a number",
                  id="theta_d_deg-null"),
+    pytest.param(("theta_r_deg",), None, "^theta_r_deg must be a number",
+                 id="theta_r_deg-null"),
     pytest.param(("channel",), None, "^channel must be a JSON object",
                  id="channel-null"),
     pytest.param(("positions", "su"), [60, 20, 3],

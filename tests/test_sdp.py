@@ -3,7 +3,8 @@ import pytest
 
 from ris_crn import sdp
 from ris_crn.sdp import (SdpConstraint, SdpProblem, _max_steps,
-                         check_hermitian, principal_eigpair, solve)
+                         _SchurComplement, check_hermitian, principal_eigpair,
+                         solve)
 
 
 def _random_hermitian(n, rng):
@@ -197,6 +198,32 @@ def test_step_length_reaches_psd_boundary(rng):
     # a PSD direction never leaves the cone: primal and dual unbounded
     dmats = np.stack([_random_psd(n, rng), np.zeros((n, n))])
     assert _max_steps(linv, dmats) == [np.inf, np.inf]
+
+
+def test_schur_complement_blocks_match_dense_reference(rng):
+    """The block-built Schur complement equals Re tr(A_i^H X A_j Zinv)
+    entry by entry, with diagonal-entry rows (unit and scaled) mixed in
+    among dense rows: a lone off-diagonal pair, the identity and a dense
+    Hermitian matrix."""
+    n = 6
+    eye = np.eye(n)
+    off = np.zeros((n, n), dtype=complex)
+    off[1, 4], off[4, 1] = 2.0 - 1.0j, 2.0 + 1.0j
+    amats = np.stack([np.outer(eye[0], eye[0]), off,
+                      3.0 * np.outer(eye[2], eye[2]), eye,
+                      np.outer(eye[5], eye[5]), _random_hermitian(n, rng),
+                      np.outer(eye[3], eye[3])]).astype(complex)
+    x = _random_psd(n, rng) + 0.1 * eye
+    zinv = np.linalg.inv(_random_psd(n, rng) + 0.1 * eye)
+    zinv = 0.5 * (zinv + zinv.conj().T)
+    schur = _SchurComplement(amats)
+    # only the four diagonal-entry rows skip the dense products
+    assert schur.dense.shape[0] == 3
+    np.testing.assert_array_equal(schur.d, [1.0, 3.0, 1.0, 1.0])
+    reference = np.array([[np.trace(ai.conj().T @ x @ aj @ zinv).real
+                           for aj in amats] for ai in amats])
+    got = schur(x, zinv)
+    assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 # -- principal eigenpair --------------------------------------------------
