@@ -48,7 +48,7 @@ class ChannelSet:
             if arr.shape != shape:
                 raise ChannelError(f"channel {name} has shape {arr.shape}, "
                                    f"expected {shape}")
-            if not np.all(np.isfinite(arr.view(float))):
+            if not np.all(np.isfinite(arr)):
                 raise ChannelError(f"channel {name} has non-finite entries")
 
 

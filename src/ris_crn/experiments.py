@@ -189,7 +189,9 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
                   for method in spec.methods for t in range(spec.trials)]
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-based pool starts all its workers at once, so a pool
+        # larger than the task list only forks idle processes
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             trials = list(pool.map(_trial_task, tasks))
     else:
         trials = [_trial_task(task) for task in tasks]

@@ -12,14 +12,26 @@ Wolkowicz, SIAM J. Optim. 1996).  Only the other rows, the interference cap
 and an SROCR alignment, go through dense X A_j Zinv products.  The maps
 A(X) and A^T(y) stay one dense product each, which at these sizes is as
 fast as the split.
+
+Set-up runs once per solve: it stacks the constraints, scales every row
+to unit size in one pass (a diagonal-entry row d e_p e_p^T has Frobenius
+norm sqrt(d*d), so only the dense rows need a full norm), classifies the
+rows for the Schur complement and allocates the buffers that each
+iteration rewrites in place.  At these sizes an iteration costs mostly
+numpy call overhead, so it makes few calls, but its arithmetic and the
+order of every reduction are fixed: the norms are the dot products
+np.linalg.norm takes, the Schur diagonal is s_i / y_i and every
+symmetrization stays.  Reordering any of them moves the iterates at
+rounding level, and with them the SROCR path and the reported SE.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrf, dgetrs, zpotrf, ztrtri
 
 HERM_TOL = 1e-12
 TOL = 1e-7          # relative residuals and gap of an optimal solve
@@ -34,10 +46,11 @@ def check_hermitian(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SdpError(f"{name} must be square, got shape {mat.shape}")
+    adj = mat.conj().T
     scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    if np.abs(mat - mat.conj().T).max(initial=0.0) > HERM_TOL * scale:
+    if np.abs(mat - adj).max(initial=0.0) > HERM_TOL * scale:
         raise SdpError(f"{name} is not Hermitian")
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + adj)
 
 
 @dataclass(frozen=True)
@@ -125,6 +138,13 @@ def _max_steps(linv: np.ndarray, dmats: np.ndarray) -> list[float]:
     return [np.inf if lam >= 0 else -1.0 / lam for lam in lam_min]
 
 
+def _frobenius(mat: np.ndarray) -> float:
+    """np.linalg.norm(mat) of a complex array, the same dot products without
+    the dispatch that costs more than they do at these sizes."""
+    flat = mat.ravel(order="K")
+    return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+
+
 def _unit_scale(mat: np.ndarray, b: float = 0.0) -> float:
     """Divisor that brings the term (mat, b) to unit size: max(||mat||_F, |b|).
 
@@ -133,7 +153,7 @@ def _unit_scale(mat: np.ndarray, b: float = 0.0) -> float:
     Where the squares in the Frobenius norm underflow, the largest entry
     stands in for the norm; only an all-zero term keeps the scale 1.
     """
-    scale = max(float(np.linalg.norm(mat)), abs(b))
+    scale = max(_frobenius(mat), abs(b))
     if scale == 0.0:
         scale = float(np.abs(mat).max(initial=0.0)) or 1.0
     return scale
@@ -155,31 +175,62 @@ class _SchurComplement:
         flat = amats.reshape(m, n * n)
         nonzero = flat != 0
         # a Hermitian matrix's one nonzero entry can only be on the diagonal
-        is_diag = nonzero.sum(axis=1) == 1
-        di, gi = np.flatnonzero(is_diag), np.flatnonzero(~is_diag)
-        self.pos = np.argmax(nonzero[di], axis=1) // (n + 1)   # the p of e_p
-        self.d = flat[di, self.pos * (n + 1)].real
-        self.dd = np.outer(self.d, self.d)
+        is_diag = np.count_nonzero(nonzero, axis=1) == 1
+        gi = (~is_diag).nonzero()[0]
         self.dense = amats[gi]
         self.dense_conj_flat = flat[gi].conj()
-        self.ix_pp = np.ix_(self.pos, self.pos)
-        self.ix_gg, self.ix_dd = np.ix_(gi, gi), np.ix_(di, di)
-        self.ix_dg, self.ix_gd = np.ix_(di, gi), np.ix_(gi, di)
-        self.shape = (m, m)
+        self.pos = None                            # no diagonal-entry rows
+        di = is_diag.nonzero()[0]
+        if di.size:
+            self.pos = np.argmax(nonzero[di], axis=1) // (n + 1)  # p of e_p
+            self.d = flat[di, self.pos * (n + 1)].real
+            self.dd = np.outer(self.d, self.d)
+            # the np.ix_ index sets, by broadcasting
+            self.ix_pp = (self.pos[:, None], self.pos)
+            self.ix_gg, self.ix_dd = (gi[:, None], gi), (di[:, None], di)
+            self.ix_dg, self.ix_gd = (di[:, None], gi), (gi[:, None], di)
+            self.shape = (m, m)
 
     def __call__(self, x: np.ndarray, zinv: np.ndarray) -> np.ndarray:
         t = x @ self.dense @ zinv                  # (dense rows, n, n)
         dense_block = (self.dense_conj_flat
                        @ t.reshape(self.dense_conj_flat.shape).T).real
-        if not self.pos.size:
+        if self.pos is None:
             return dense_block
         big_m = np.empty(self.shape)
         big_m[self.ix_gg] = dense_block
-        big_m[self.ix_dd] = self.dd * (x[self.ix_pp] * zinv[self.ix_pp].T).real
+        big_m[self.ix_dd] = self.dd * (x * zinv.T)[self.ix_pp].real
         cross = self.d[:, None] * t[:, self.pos, self.pos].real.T
         big_m[self.ix_dg] = cross
         big_m[self.ix_gd] = cross.T
         return big_m
+
+
+def _normalize(constraints: list[SdpConstraint], n: int):
+    """The constraint stack scaled row by row to unit size.
+
+    Returns (amats, bvec, ineq): A_i / s_i, b_i / s_i and whether row i is
+    an inequality, with s_i = _unit_scale(A_i, b_i).  The matrix of a row
+    with one nonzero entry d has Frobenius norm sqrt(d*d) (d sits on the
+    diagonal and is real, see _SchurComplement), taken for all such rows at
+    once; only the dense rows go through _unit_scale.
+    """
+    m = len(constraints)
+    raw = np.array([con.a for con in constraints])
+    bvec = np.array([con.b for con in constraints], dtype=float)
+    ineq = np.array([con.relation != "=" for con in constraints])
+    flat = raw.reshape(m, n * n)
+    nonzero = flat != 0
+    single = np.count_nonzero(nonzero, axis=1) == 1
+    scale = np.empty(m)
+    for i in (~single).nonzero()[0]:
+        scale[i] = _unit_scale(raw[i], bvec[i])
+    if single.any():
+        d = flat[single, np.argmax(nonzero[single], axis=1)].real
+        # sqrt(d*d), not |d|: the two differ where d*d under- or overflows
+        norm_or_b = np.maximum(np.sqrt(d * d), np.abs(bvec[single]))
+        scale[single] = np.where(norm_or_b == 0.0, np.abs(d), norm_or_b)
+    return raw / scale[:, None, None], bvec / scale, ineq
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -191,17 +242,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     # normalize: scale objective and constraints to unit size
     cmat = problem.c / _unit_scale(problem.c)
-    amats = np.empty((m, n, n), dtype=complex)
-    bvec = np.empty(m)
-    ineq = np.empty(m, dtype=bool)
-    for i, con in enumerate(problem.constraints):
-        sc = _unit_scale(con.a, con.b)
-        amats[i] = con.a / sc
-        bvec[i] = con.b / sc
-        ineq[i] = con.relation != "="
+    amats, bvec, ineq = _normalize(problem.constraints, n)
     schur = _SchurComplement(amats)
-    k = int(ineq.sum())
+    ineq_rows = np.flatnonzero(ineq).tolist()  # the few "<=" rows
+    k = len(ineq_rows)
     aconj_flat = amats.conj().reshape(m, n * n)
+    aconj_ineq = aconj_flat[ineq]
     a_flat = amats.reshape(m, n * n)
 
     def opA(xmat):  # <A_i, X> for all i
@@ -210,20 +256,28 @@ def solve(problem: SdpProblem) -> SdpSolution:
     def opAt(yvec):  # sum_i y_i A_i
         return (yvec @ a_flat).reshape(n, n)
 
-    ident = np.eye(n)
+    ident = np.eye(n, dtype=complex)
+    c_frob = _frobenius(cmat)
     tau = max(1.0, float(np.abs(bvec).max(initial=1.0)))
-    x = tau * ident.astype(complex)
-    z = max(1.0, float(np.linalg.norm(cmat))) * ident.astype(complex)
+    x = tau * ident
+    z = max(1.0, c_frob) * ident
     y = np.zeros(m)
     y[ineq] = 1.0
     s = np.zeros(m)
     s[ineq] = tau
 
-    b_norm = 1.0 + float(np.linalg.norm(bvec))
-    c_norm = 1.0 + float(np.linalg.norm(cmat))
+    b_norm = 1.0 + math.sqrt(bvec.dot(bvec))   # np.linalg.norm(bvec)
+    c_norm = 1.0 + c_frob
     cconj_flat = cmat.conj().ravel()
     status = "max-iterations"
     iters = 0
+
+    # rewritten in place every iteration
+    linv = np.empty((2, n, n), dtype=complex)  # inverse Cholesky factors
+    dmats = np.empty((2, n, n), dtype=complex)
+    dx, dz = dmats                             # the current step
+    sy_diag = np.zeros((m, m))                 # diag(s_i / y_i)
+    inv_y = np.zeros(m)                        # 1 / y_i on the "<=" rows
 
     def certificate():
         """Residuals, dual objective and relative gap at the current iterate."""
@@ -232,8 +286,41 @@ def solve(problem: SdpProblem) -> SdpSolution:
         pobj = float(np.dot(cconj_flat, x.ravel()).real)
         dobj = float(bvec @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return (rp, rd, dobj, float(np.linalg.norm(rp)) / b_norm,
-                float(np.linalg.norm(rd)) / c_norm, gap)
+        return (rp, rd, dobj, math.sqrt(rp.dot(rp)) / b_norm,
+                _frobenius(rd) / c_norm, gap)
+
+    def direction(sigma_mu, corr_term=None, corr_lp=None):
+        """Newton step for centring target sigma_mu, with the corrector's
+        second-order terms; writes (dx, dz) and returns (dy, ds)."""
+        rhs = base + sigma_mu * ta
+        if corr_lp is not None:
+            rhs = rhs - corr_lp * inv_y
+        if corr_term is not None:
+            rhs = rhs - (aconj_flat @ corr_term.ravel()).real
+        dy = dgetrs(lu, piv, rhs)[0]
+        t = opAt(dy) - rd
+        np.multiply(0.5, t + t.conj().T, out=dz)
+        t = sigma_mu * zinv - x - x @ dz @ zinv
+        if corr_term is not None:
+            t = t - corr_term
+        np.multiply(0.5, t + t.conj().T, out=dx)
+        ds = np.zeros(m)
+        if k:
+            a_dx = (aconj_ineq @ dx.ravel()).real
+            for j, i in enumerate(ineq_rows):
+                ds[i] = rp[i] - a_dx[j]
+        return dy, ds
+
+    def step_lengths(dy, ds):
+        ap, ad = _max_steps(linv, dmats)
+        # far off boresight the data is ~1e-235 and a ratio can overflow;
+        # Python's float division gives inf then, an unbounded step
+        for i in ineq_rows:
+            if ds[i] < 0:
+                ap = min(ap, -float(s[i]) / float(ds[i]))
+            if dy[i] < 0:
+                ad = min(ad, -float(y[i]) / float(dy[i]))
+        return min(1.0, 0.98 * ap), min(1.0, 0.98 * ad)
 
     for iters in range(1, MAX_ITERS + 1):
         rp, rd, dobj, pres, dres, gap = certificate()
@@ -243,92 +330,59 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if pres <= TOL and dres <= TOL and gap <= TOL:
             status = "optimal"
             break
-        if (dobj < -1e9 * b_norm or np.linalg.norm(y) > 1e10) and pres > TOL:
+        if (dobj < -1e9 * b_norm or math.sqrt(y.dot(y)) > 1e10) and pres > TOL:
             status = "infeasible"
             break
-        if not np.isfinite(mu) or mu < 0:
+        if not math.isfinite(mu) or mu < 0:
             status = "numerical-failure"
             break
 
         # inverse lower Cholesky factors of X and Z; zpotrf zeroes the
         # factor's upper triangle and ztrtri leaves it so
-        ell_x, info_x = sla.lapack.zpotrf(x, lower=1)
-        ell_z, info_z = sla.lapack.zpotrf(z, lower=1)
+        ell_x, info_x = zpotrf(x, lower=1)
+        ell_z, info_z = zpotrf(z, lower=1)
         if info_x or info_z:
             status = "numerical-failure"
             break
-        linv_x, info_x = sla.lapack.ztrtri(ell_x, lower=1)
-        linv_z, info_z = sla.lapack.ztrtri(ell_z, lower=1)
+        linv_x, info_x = ztrtri(ell_x, lower=1)
+        linv_z, info_z = ztrtri(ell_z, lower=1)
         if info_x or info_z:
             status = "numerical-failure"
             break
-        linv = np.stack((linv_x, linv_z))
+        linv[0] = linv_x
+        linv[1] = linv_z
         zinv = linv_z.conj().T @ linv_z
         zinv = 0.5 * (zinv + zinv.conj().T)
 
-        # Schur complement M_ij = <A_i, X A_j Zinv> (+ s_i/y_i on the diagonal)
-        big_m = schur(x, zinv)
-        diag = np.zeros(m)
-        diag[ineq] = s[ineq] / y[ineq]
-        big_m = big_m + np.diag(diag)
+        # Schur complement M_ij = <A_i, X A_j Zinv> (+ s_i/y_i on the
+        # diagonal); s/y, not s * (1/y), which rounds differently
+        for i in ineq_rows:
+            sy_diag[i, i] = s[i] / y[i]
+            inv_y[i] = 1.0 / y[i]
+        big_m = schur(x, zinv) + sy_diag
         xrdzi = x @ rd @ zinv
         base = (aconj_flat @ xrdzi.ravel()).real - bvec
-        tr_a_zinv = (aconj_flat @ zinv.ravel()).real
-        inv_y = np.zeros(m)
-        inv_y[ineq] = 1.0 / y[ineq]
+        ta = (aconj_flat @ zinv.ravel()).real + inv_y   # tr(A_i Zinv) + 1/y_i
 
         # a zero pivot (info > 0): the Schur complement is exactly singular,
         # as it is when the same equality is given twice
-        lu, piv, info = sla.lapack.dgetrf(big_m)
+        lu, piv, info = dgetrf(big_m)
         if info != 0:
             status = "numerical-failure"
             break
 
-        def direction(sigma_mu, corr_sdp=None, corr_lp=None):
-            rhs = base + sigma_mu * (tr_a_zinv + inv_y)
-            if corr_lp is not None:
-                rhs = rhs - corr_lp * inv_y
-            corr_term = None
-            if corr_sdp is not None:
-                corr_term = corr_sdp @ zinv
-                rhs = rhs - (aconj_flat @ corr_term.ravel()).real
-            dy = sla.lapack.dgetrs(lu, piv, rhs)[0]
-            dz = opAt(dy) - rd
-            dz = 0.5 * (dz + dz.conj().T)
-            dx = sigma_mu * zinv - x - x @ dz @ zinv
-            if corr_term is not None:
-                dx = dx - corr_term
-            dx = 0.5 * (dx + dx.conj().T)
-            ds = np.zeros(m)
-            if k:
-                ds[ineq] = rp[ineq] - (aconj_flat[ineq] @ dx.ravel()).real
-            return dx, dy, dz, ds
-
-        def step_lengths(dx, dy, dz, ds):
-            ap, ad = _max_steps(linv, np.stack((dx, dz)))
-            mask_s = ineq & (ds < 0)
-            mask_y = ineq & (dy < 0)
-            # far off boresight the data is ~1e-235 and the ratio can
-            # overflow; inf means the step is unbounded in that direction
-            with np.errstate(over="ignore"):
-                ratio_s = -s[mask_s] / ds[mask_s]
-                ratio_y = -y[mask_y] / dy[mask_y]
-            ap = min(ap, float(ratio_s.min(initial=np.inf)))
-            ad = min(ad, float(ratio_y.min(initial=np.inf)))
-            return min(1.0, 0.98 * ap), min(1.0, 0.98 * ad)
-
         # predictor
-        dx_a, dy_a, dz_a, ds_a = direction(0.0)
-        ap, ad = step_lengths(dx_a, dy_a, dz_a, ds_a)
-        mu_aff = (float(np.dot((x + ap * dx_a).conj().ravel(),
-                               (z + ad * dz_a).ravel()).real)
+        dy_a, ds_a = direction(0.0)
+        ap, ad = step_lengths(dy_a, ds_a)
+        mu_aff = (float(np.dot((x + ap * dx).conj().ravel(),
+                               (z + ad * dz).ravel()).real)
                   + float((s + ap * ds_a) @ (y + ad * dy_a))) / (n + max(k, 1))
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
 
-        # corrector
-        dx, dy, dz, ds = direction(sigma * mu, corr_sdp=dx_a @ dz_a,
-                                   corr_lp=dy_a * ds_a)
-        ap, ad = step_lengths(dx, dy, dz, ds)
+        # corrector; its second-order term is taken before dx, dz move on
+        dy, ds = direction(sigma * mu, corr_term=dx @ dz @ zinv,
+                           corr_lp=dy_a * ds_a)
+        ap, ad = step_lengths(dy, ds)
         if ap <= 1e-14 and ad <= 1e-14:
             status = "numerical-failure"
             break
@@ -336,8 +390,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
         s = s + ap * ds
         y = y + ad * dy
         z = z + ad * dz
-        s[ineq] = np.maximum(s[ineq], 1e-300)
-        y[ineq] = np.maximum(y[ineq], 1e-300)
+        for i in ineq_rows:
+            if s[i] < 1e-300:
+                s[i] = 1e-300
+            if y[i] < 1e-300:
+                y[i] = 1e-300
 
     x_out = 0.5 * (x + x.conj().T)
     objective = float(np.dot(problem.c.conj().ravel(), x_out.ravel()).real)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ris_crn.channels import (ChannelError, generate_channels, los_matrix,
                               path_loss_amplitude, pbs_beamformer,
                               rician_sample, ula_steering)
+from ris_crn.optimizer import run_algorithm1
 from ris_crn.scenario import ChannelParams, apply_overrides
 
 CP = ChannelParams(zeta0_db=-30.0, d0_m=1.0, alpha=3.0, rician_k=1.0)
@@ -141,3 +144,26 @@ def test_validate_rejects_wrong_shapes(scenario, channels):
     bad = apply_overrides(scenario, {"n_ris": scenario.n_ris + 1})
     with pytest.raises(ChannelError, match="shape"):
         channels.validate(bad)
+
+
+def _strided(vec):
+    """A non-contiguous array with the entries of vec (every other entry
+    of a doubled copy)."""
+    strided = np.repeat(vec, 2)[::2]
+    assert not strided.flags.c_contiguous
+    return strided
+
+
+def test_validate_accepts_strided_channels(scenario, channels):
+    strided = dataclasses.replace(channels, u=_strided(channels.u),
+                                  G=np.asfortranarray(channels.G))
+    strided.validate(scenario)
+    assert (run_algorithm1(strided, scenario, seed=7).se_trace
+            == run_algorithm1(channels, scenario, seed=7).se_trace)
+
+
+def test_validate_rejects_nan_in_strided_channel(scenario, channels):
+    u = _strided(channels.u)
+    u[1] = np.nan
+    with pytest.raises(ChannelError, match="u has non-finite"):
+        dataclasses.replace(channels, u=u).validate(scenario)

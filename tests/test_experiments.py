@@ -211,6 +211,35 @@ def test_run_sweep_worker_count_invariance(iid_scenario, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_pool_no_larger_than_task_list(small_iid_scenario, monkeypatch):
+    """A fork-based pool starts every worker up front, so run_sweep sizes
+    it to the task count; the CSV does not depend on the pool size."""
+    import ris_crn.experiments as exp
+    sizes = []
+
+    class InlinePool:   # records its size and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+    one = SweepSpec(kind="power", grid=(0.0,), trials=1, methods=("no_ris",))
+    three = SweepSpec(kind="power", grid=(0.0,), trials=3, methods=("no_ris",))
+    csv = run_sweep(one, small_iid_scenario).to_csv()
+    assert run_sweep(one, small_iid_scenario, workers=64).to_csv() == csv
+    run_sweep(three, small_iid_scenario, workers=2)
+    run_sweep(three, small_iid_scenario, workers=8)
+    assert sizes == [1, 2, 3]
+
+
 def test_run_sweep_applies_overrides(iid_scenario, tmp_path):
     spec = SweepSpec(kind="power", grid=(0.0,), trials=1, base_seed=0,
                      methods=("random_phase",), overrides={"n_ris": 3})

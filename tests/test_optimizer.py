@@ -187,6 +187,26 @@ def test_phase_problem_matrices_hermitian(iid_scenario, rng):
                                problem.constraints[0].a.conj().T, atol=1e-12)
 
 
+def test_phase_problem_unit_diagonal_rows_shared(iid_scenario):
+    """Rows 1..N+1 of the phase SDP are X_ii = 1.  They are built once per
+    size and shared by every phase problem, so their matrices are
+    read-only."""
+    ch = generate_channels(iid_scenario, seed=10)
+    n = iid_scenario.n_ris + 1
+    state = DesignState(np.ones(2, dtype=complex), initial_phases(n - 1, 10),
+                        iid_scenario.theta_r_deg)
+    first, _, _ = build_phase_problem(state, ch, iid_scenario)
+    second, _, _ = build_phase_problem(state.with_phases(np.zeros(n - 1)),
+                                       ch, iid_scenario)
+    rows = first.constraints[1:]
+    assert len(rows) == n
+    for i, con in enumerate(rows):
+        np.testing.assert_array_equal(con.a, np.diag(np.eye(n)[i]))
+        assert (con.relation, con.b) == ("=", 1.0)
+        assert not con.a.flags.writeable
+    assert all(a is b for a, b in zip(rows, second.constraints[1:]))
+
+
 def test_phase_quadratic_form_identity(iid_scenario, rng):
     """l1 + x^H H1 x must reproduce |a w|^2 for unit-modulus x."""
     ch = generate_channels(iid_scenario, seed=12)
@@ -303,13 +323,15 @@ def test_c1_repair_reaches_cap_at_rounding_floor(iid_scenario):
 
 
 def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
-    """Exact IPM iteration totals and SDP statuses of two fixed runs.
+    """Exact (dim, #constraints, status, IPM iterations) of every SDP solve
+    of two fixed runs, in order.
 
     Integer counts catch a change of the interior-point path that the SE
     comparison at rtol 1e-6 would let through.  On the path-loss default C1
     is slack, so every phase step is co-phased and only the 2x2 beamformer
     relaxations run; the iid n_s=4 trial at -30 deg is the C1-binding case
-    that runs the phase SDP with SROCR."""
+    that runs the phase SDP with SROCR: each outer iteration solves the
+    beamformer relaxation, the phase relaxation and one SROCR round."""
     log = []
     real = sdp.solve
 
@@ -321,13 +343,15 @@ def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
 
     monkeypatch.setattr(sdp, "solve", spy)
     run_algorithm1(generate_channels(scenario, seed=0), scenario, seed=0)
-    assert [entry[:3] for entry in log] == [(2, 2, "optimal")] * 7
-    assert sum(entry[3] for entry in log) == 70
+    assert log == [(2, 2, "optimal", 10)] * 7
     log.clear()
     iid4 = apply_overrides(iid_scenario, {"n_s": 4})
     run_trial(iid4, "proposed", seed=0, fixed_tilt_deg=-30.0)
-    assert [entry[2] for entry in log] == ["optimal"] * 12
-    assert sum(entry[3] for entry in log) == 136
+    per_outer = [(8, 11, 13), (12, 11, 14), (11, 10, 13), (10, 10, 13)]
+    assert log == [entry for ws, phase, srocr in per_outer
+                   for entry in ((4, 2, "optimal", ws),
+                                 (21, 22, "optimal", phase),
+                                 (21, 23, "optimal", srocr))]
 
 
 def _phase_objective(problem, l1, phases):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ris_crn import sdp
-from ris_crn.sdp import (SdpConstraint, SdpProblem, _max_steps,
-                         _SchurComplement, check_hermitian, principal_eigpair,
-                         solve)
+from ris_crn.sdp import (SdpConstraint, SdpProblem, _max_steps, _normalize,
+                         _SchurComplement, _unit_scale, check_hermitian,
+                         principal_eigpair, solve)
 
 
 def _random_hermitian(n, rng):
@@ -224,6 +224,32 @@ def test_schur_complement_blocks_match_dense_reference(rng):
                            for aj in amats] for ai in amats])
     got = schur(x, zinv)
     assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_normalize_matches_per_row_unit_scale(rng):
+    """The one-pass normalization is bit-equal to dividing each row by its
+    own _unit_scale, for single-entry rows (unit, scaled, negative, with
+    a dominant |b|, d*d subnormal, d*d zero) and dense rows (Hermitian,
+    identity, all-zero)."""
+    n = 5
+    eye = np.eye(n)
+    single = [(1.0, "=", 1.0), (3.0, "<=", 0.5), (-2.5, "<=", 0.0),
+              (1e-3, "<=", 40.0), (1e-170, "=", 0.0), (1e-160, "<=", 0.0)]
+    cons = [SdpConstraint(d * np.outer(eye[p % n], eye[p % n]), rel, b)
+            for p, (d, rel, b) in enumerate(single)]
+    cons += [SdpConstraint(_random_hermitian(n, rng), "<=", 2.0),
+             SdpConstraint(0.01 * eye, "<=", 0.02),
+             SdpConstraint(np.zeros((n, n)), "<=", 0.0)]
+    amats, bvec, ineq = _normalize(cons, n)
+    for i, con in enumerate(cons):
+        scale = _unit_scale(con.a, con.b)
+        assert amats[i].tobytes() == (con.a / scale).tobytes()
+        assert bvec[i] == con.b / scale
+        assert ineq[i] == (con.relation == "<=")
+    # the Frobenius norm of 1e-170 * e_p e_p^T underflows to 0, so the
+    # entry itself is the scale; at 1e-160 the norm is inexact, not |d|
+    assert amats[4, 4, 4] == 1.0
+    assert amats[5, 0, 0] != 1.0
 
 
 # -- principal eigenpair --------------------------------------------------
