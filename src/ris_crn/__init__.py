@@ -7,8 +7,7 @@ semidefinite relaxation with sequential rank-one recovery.
 """
 
 from .antenna import vertical_attenuation_db, vertical_gain_linear
-from .channels import (ChannelSet, PbsBeamformer, generate_channels,
-                       pbs_beamformer)
+from .channels import ChannelSet, generate_channels, pbs_beamformer
 from .experiments import (SweepResult, SweepSpec, load_sweep_spec, run_sweep,
                           run_trial)
 from .metrics import (DesignState, effective_pu_row, effective_su_row,
@@ -20,8 +19,8 @@ from .scenario import Scenario, ScenarioError, load_scenario, paper_default
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelSet", "DesignState", "OptimizerResult", "PbsBeamformer",
-    "Scenario", "ScenarioError", "SweepResult", "SweepSpec", "TiltDecision",
+    "ChannelSet", "DesignState", "OptimizerResult", "Scenario",
+    "ScenarioError", "SweepResult", "SweepSpec", "TiltDecision",
     "effective_pu_row", "effective_su_row", "generate_channels",
     "load_scenario", "load_sweep_spec", "paper_default", "pattern_gains",
     "pbs_beamformer", "pu_interference", "run_algorithm1", "run_sweep",

@@ -52,11 +52,6 @@ class ChannelSet:
                 raise ChannelError(f"channel {name} has non-finite entries")
 
 
-@dataclass(frozen=True)
-class PbsBeamformer:
-    w_p: np.ndarray  # (N_p,)
-
-
 def path_loss_amplitude(d_m: float, params: ChannelParams) -> float:
     if d_m <= 0:
         raise ChannelError(f"distance must be > 0, got {d_m}")
@@ -119,9 +114,9 @@ def generate_channels(scenario: Scenario, seed: int = 0) -> ChannelSet:
     )
 
 
-def pbs_beamformer(h_p: np.ndarray, pp_dbw: float) -> PbsBeamformer:
+def pbs_beamformer(h_p: np.ndarray, pp_dbw: float) -> np.ndarray:
     """Matched-filter PBS beamformer scaled to the full PBS power budget."""
     norm = np.linalg.norm(h_p)
     if norm == 0:
         raise ChannelError("h_p is zero; PBS beamformer undefined")
-    return PbsBeamformer(w_p=np.sqrt(dbw_to_watts(pp_dbw)) * h_p / norm)
+    return np.sqrt(dbw_to_watts(pp_dbw)) * h_p / norm

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import vertical_gain_linear
-from .channels import ChannelSet, PbsBeamformer
+from .channels import ChannelSet
 from .scenario import Scenario
 
 
@@ -64,11 +64,11 @@ def effective_pu_row(state: DesignState, channels: ChannelSet,
     return _effective_row(channels.f_p, channels.v, state, channels, a_i, a_r)
 
 
-def sinr_su(state: DesignState, channels: ChannelSet, w_p: PbsBeamformer,
+def sinr_su(state: DesignState, channels: ChannelSet, w_p: np.ndarray,
             scenario: Scenario) -> float:
     a = effective_su_row(state, channels, scenario)
     signal = abs(np.dot(a, state.w_s)) ** 2
-    interference = abs(np.vdot(channels.f_s, w_p.w_p)) ** 2
+    interference = abs(np.vdot(channels.f_s, w_p)) ** 2
     return float(signal / (scenario.noise_w + interference))
 
 

@@ -14,7 +14,6 @@ lower the objective is discarded in favor of the previous iterate.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,21 +99,6 @@ def build_ws_problem(state: DesignState, channels: ChannelSet,
          sdp.SdpConstraint(np.eye(n_s), "<=", scenario.p_max_w)])
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_diagonal(n: int) -> tuple[sdp.SdpConstraint, ...]:
-    """The constraints X_ii = 1 of an n x n phase SDP.  Checking them costs
-    more than the rest of build_phase_problem, so they are built once per
-    size and shared; their matrices are read-only."""
-    cons = []
-    for i in range(n):
-        unit = np.zeros((n, n), dtype=complex)    # e_i e_i^T
-        unit[i, i] = 1.0
-        con = sdp.SdpConstraint(unit, "=", 1.0)
-        con.a.flags.writeable = False
-        cons.append(con)
-    return tuple(cons)
-
-
 def build_phase_problem(state: DesignState, channels: ChannelSet,
                         scenario: Scenario):
     """Phase subproblem in homogenized form.
@@ -143,7 +127,8 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
     h1, l1 = quad(channels.u, channels.h_s, a_d)
     h2, l2 = quad(channels.v, channels.f_p, a_i)
     cons = [sdp.SdpConstraint(h2, "<=", scenario.gamma_w - l2),
-            *_unit_diagonal(n + 1)]
+            *(sdp.SdpConstraint(np.outer(e, e), "=", 1.0)   # X_ii = 1
+              for e in np.eye(n + 1))]
     return sdp.SdpProblem(h1, cons), l1, l2
 
 

@@ -13,16 +13,14 @@ and an SROCR alignment, go through dense X A_j Zinv products.  The maps
 A(X) and A^T(y) stay one dense product each, which at these sizes is as
 fast as the split.
 
-Set-up runs once per solve: it stacks the constraints, scales every row
-to unit size in one pass (a diagonal-entry row d e_p e_p^T has Frobenius
-norm sqrt(d*d), so only the dense rows need a full norm), classifies the
-rows for the Schur complement and allocates the buffers that each
+Set-up runs once per solve: it scales every term to unit size, classifies
+the rows for the Schur complement and allocates the buffers that each
 iteration rewrites in place.  At these sizes an iteration costs mostly
 numpy call overhead, so it makes few calls, but its arithmetic and the
-order of every reduction are fixed: the norms are the dot products
-np.linalg.norm takes, the Schur diagonal is s_i / y_i and every
-symmetrization stays.  Reordering any of them moves the iterates at
-rounding level, and with them the SROCR path and the reported SE.
+order of every reduction are fixed: the norms are np.linalg.norm's dot
+products, the Schur diagonal is s_i / y_i and every symmetrization stays.
+Reordering any of them moves the iterates at rounding level, and with them
+the SROCR path and the reported SE.
 """
 
 from __future__ import annotations
@@ -46,9 +44,11 @@ def check_hermitian(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SdpError(f"{name} must be square, got shape {mat.shape}")
+    peak = float(np.abs(mat).max(initial=0.0))    # NaN if any entry is NaN
+    if not math.isfinite(peak):
+        raise SdpError(f"{name} has non-finite entries")
     adj = mat.conj().T
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    if np.abs(mat - adj).max(initial=0.0) > HERM_TOL * scale:
+    if np.abs(mat - adj).max(initial=0.0) > HERM_TOL * max(1.0, peak):
         raise SdpError(f"{name} is not Hermitian")
     return 0.5 * (mat + adj)
 
@@ -138,24 +138,20 @@ def _max_steps(linv: np.ndarray, dmats: np.ndarray) -> list[float]:
     return [np.inf if lam >= 0 else -1.0 / lam for lam in lam_min]
 
 
-def _frobenius(mat: np.ndarray) -> float:
-    """np.linalg.norm(mat) of a complex array, the same dot products without
-    the dispatch that costs more than they do at these sizes."""
-    flat = mat.ravel(order="K")
-    return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
-
-
 def _unit_scale(mat: np.ndarray, b: float = 0.0) -> float:
     """Divisor that brings the term (mat, b) to unit size: max(||mat||_F, |b|).
 
     However small a nonzero term is, it is scaled up to unit size rather
     than left at its own scale, where the solver cannot tell it from zero.
-    Where the squares in the Frobenius norm underflow, the largest entry
-    stands in for the norm; only an all-zero term keeps the scale 1.
+    Where the squares in the Frobenius norm underflow or overflow, the
+    largest entry stands in for the norm; only an all-zero term keeps the
+    scale 1.
     """
-    scale = max(_frobenius(mat), abs(b))
-    if scale == 0.0:
-        scale = float(np.abs(mat).max(initial=0.0)) or 1.0
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(mat))
+    scale = max(norm, abs(b))
+    if scale == 0.0 or norm == math.inf:
+        scale = max(float(np.abs(mat).max(initial=0.0)), abs(b)) or 1.0
     return scale
 
 
@@ -206,33 +202,6 @@ class _SchurComplement:
         return big_m
 
 
-def _normalize(constraints: list[SdpConstraint], n: int):
-    """The constraint stack scaled row by row to unit size.
-
-    Returns (amats, bvec, ineq): A_i / s_i, b_i / s_i and whether row i is
-    an inequality, with s_i = _unit_scale(A_i, b_i).  The matrix of a row
-    with one nonzero entry d has Frobenius norm sqrt(d*d) (d sits on the
-    diagonal and is real, see _SchurComplement), taken for all such rows at
-    once; only the dense rows go through _unit_scale.
-    """
-    m = len(constraints)
-    raw = np.array([con.a for con in constraints])
-    bvec = np.array([con.b for con in constraints], dtype=float)
-    ineq = np.array([con.relation != "=" for con in constraints])
-    flat = raw.reshape(m, n * n)
-    nonzero = flat != 0
-    single = np.count_nonzero(nonzero, axis=1) == 1
-    scale = np.empty(m)
-    for i in (~single).nonzero()[0]:
-        scale[i] = _unit_scale(raw[i], bvec[i])
-    if single.any():
-        d = flat[single, np.argmax(nonzero[single], axis=1)].real
-        # sqrt(d*d), not |d|: the two differ where d*d under- or overflows
-        norm_or_b = np.maximum(np.sqrt(d * d), np.abs(bvec[single]))
-        scale[single] = np.where(norm_or_b == 0.0, np.abs(d), norm_or_b)
-    return raw / scale[:, None, None], bvec / scale, ineq
-
-
 def solve(problem: SdpProblem) -> SdpSolution:
     """Interior-point solve; deterministic for fixed inputs."""
     n = problem.dim
@@ -241,8 +210,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
         raise SdpError("problem needs at least one constraint bounding X")
 
     # normalize: scale objective and constraints to unit size
+    cons = problem.constraints
     cmat = problem.c / _unit_scale(problem.c)
-    amats, bvec, ineq = _normalize(problem.constraints, n)
+    scale = np.array([_unit_scale(con.a, con.b) for con in cons])
+    amats = np.array([con.a for con in cons]) / scale[:, None, None]
+    bvec = np.array([con.b for con in cons]) / scale
+    ineq = np.array([con.relation != "=" for con in cons])
     schur = _SchurComplement(amats)
     ineq_rows = np.flatnonzero(ineq).tolist()  # the few "<=" rows
     k = len(ineq_rows)
@@ -257,7 +230,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         return (yvec @ a_flat).reshape(n, n)
 
     ident = np.eye(n, dtype=complex)
-    c_frob = _frobenius(cmat)
+    c_frob = float(np.linalg.norm(cmat))
     tau = max(1.0, float(np.abs(bvec).max(initial=1.0)))
     x = tau * ident
     z = max(1.0, c_frob) * ident
@@ -266,7 +239,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     s = np.zeros(m)
     s[ineq] = tau
 
-    b_norm = 1.0 + math.sqrt(bvec.dot(bvec))   # np.linalg.norm(bvec)
+    b_norm = 1.0 + float(np.linalg.norm(bvec))
     c_norm = 1.0 + c_frob
     cconj_flat = cmat.conj().ravel()
     status = "max-iterations"
@@ -287,7 +260,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dobj = float(bvec @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return (rp, rd, dobj, math.sqrt(rp.dot(rp)) / b_norm,
-                _frobenius(rd) / c_norm, gap)
+                float(np.linalg.norm(rd)) / c_norm, gap)
 
     def direction(sigma_mu, corr_term=None, corr_lp=None):
         """Newton step for centring target sigma_mu, with the corrector's

@@ -44,13 +44,9 @@ class RankOneResult:
     objective: float
 
 
-def rank_one_ratio(x: np.ndarray) -> float:
-    """lambda_1 / tr as a rank-one progress measure, in [1/n, 1]."""
-    return _ratio_eigpair(x)[0]
-
-
 def _ratio_eigpair(x: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """rank_one_ratio(x) with the principal eigenpair it is computed from."""
+    """lambda_1 / tr as a rank-one progress measure, in [1/n, 1], with the
+    principal eigenpair it is computed from."""
     tr = float(np.trace(x).real)
     if tr <= 0:
         raise SrocrError(f"trace must be > 0, got {tr}")

@@ -172,7 +172,7 @@ def test_no_ris_huge_cap_equals_closed_form(scenario):
     ch = generate_channels(bare, seed=5)
     w_p = pbs_beamformer(ch.h_p, bare.pp_dbw)
     snr = (bare.p_max_w * np.vdot(ch.h_s, ch.h_s).real
-           / (bare.noise_w + abs(np.vdot(ch.f_s, w_p.w_p)) ** 2))
+           / (bare.noise_w + abs(np.vdot(ch.f_s, w_p)) ** 2))
     assert out.se_bps_hz == pytest.approx(se_su(snr), rel=1e-5)
     assert out.feasible
 

@@ -157,7 +157,7 @@ def test_zero_signal_beamformer_step(n_s, iid_scenario, monkeypatch):
     log = _solve_log(monkeypatch)
     res = run_algorithm1(ch, sc, seed=0, fixed_tilt_deg=-30.0)
     assert len(log) == 1
-    assert srocr.rank_one_ratio(solve(log[0]).x) < srocr.RANK_TOL
+    assert srocr._ratio_eigpair(solve(log[0]).x)[0] < srocr.RANK_TOL
     (step,) = steps
     assert np.vdot(step.w_s, step.w_s).real <= sc.p_max_w * (1 + 1e-6)
     assert pu_interference(step, ch, sc) <= sc.gamma_w * (1 + 1e-6)
@@ -187,24 +187,18 @@ def test_phase_problem_matrices_hermitian(iid_scenario, rng):
                                problem.constraints[0].a.conj().T, atol=1e-12)
 
 
-def test_phase_problem_unit_diagonal_rows_shared(iid_scenario):
-    """Rows 1..N+1 of the phase SDP are X_ii = 1.  They are built once per
-    size and shared by every phase problem, so their matrices are
-    read-only."""
+def test_phase_problem_unit_diagonal_rows(iid_scenario):
+    """Rows 1..N+1 of the phase SDP are X_ii = 1."""
     ch = generate_channels(iid_scenario, seed=10)
     n = iid_scenario.n_ris + 1
     state = DesignState(np.ones(2, dtype=complex), initial_phases(n - 1, 10),
                         iid_scenario.theta_r_deg)
-    first, _, _ = build_phase_problem(state, ch, iid_scenario)
-    second, _, _ = build_phase_problem(state.with_phases(np.zeros(n - 1)),
-                                       ch, iid_scenario)
-    rows = first.constraints[1:]
+    problem, _, _ = build_phase_problem(state, ch, iid_scenario)
+    rows = problem.constraints[1:]
     assert len(rows) == n
     for i, con in enumerate(rows):
         np.testing.assert_array_equal(con.a, np.diag(np.eye(n)[i]))
         assert (con.relation, con.b) == ("=", 1.0)
-        assert not con.a.flags.writeable
-    assert all(a is b for a, b in zip(rows, second.constraints[1:]))
 
 
 def test_phase_quadratic_form_identity(iid_scenario, rng):
@@ -235,7 +229,7 @@ def test_no_ris_huge_cap_recovers_mrt(scenario):
     from ris_crn.antenna import vertical_gain_linear
     a_d = vertical_gain_linear(sc.theta_d_deg, sc.theta_d_deg, sc.pattern)
     snr = (sc.p_max_w * a_d * np.vdot(ch.h_s, ch.h_s).real
-           / (sc.noise_w + abs(np.vdot(ch.f_s, w_p.w_p)) ** 2))
+           / (sc.noise_w + abs(np.vdot(ch.f_s, w_p)) ** 2))
     assert res.se == pytest.approx(se_su(snr), rel=1e-5)
     assert res.tilt.branch == "direct"
 
@@ -470,7 +464,7 @@ def test_far_tilt_beamformer_relaxation_is_rank_one(iid_scenario):
     assert np.linalg.norm(problem.c) < 1e-100
     sol = solve(problem)
     assert sol.status == "optimal"
-    assert srocr.rank_one_ratio(sol.x) >= srocr.RANK_TOL
+    assert srocr._ratio_eigpair(sol.x)[0] >= srocr.RANK_TOL
     a = effective_su_row(state, ch, sc)
     assert sol.objective == pytest.approx(
         sc.p_max_w * np.vdot(a, a).real, rel=1e-6)

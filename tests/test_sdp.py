@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ris_crn import sdp
-from ris_crn.sdp import (SdpConstraint, SdpProblem, _max_steps, _normalize,
+from ris_crn.sdp import (SdpConstraint, SdpProblem, _max_steps,
                          _SchurComplement, _unit_scale, check_hermitian,
                          principal_eigpair, solve)
 
@@ -27,7 +27,7 @@ def test_check_hermitian(rng):
 
 def test_embedding_rejects_non_hermitian(rng):
     # Every matrix that enters the solver, as objective, constraint or
-    # eigenpair input, is rejected if it is not Hermitian.
+    # eigenpair input, is rejected if it is not Hermitian or not finite.
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     with pytest.raises(ValueError):
         SdpProblem(m)
@@ -35,6 +35,16 @@ def test_embedding_rejects_non_hermitian(rng):
         SdpConstraint(m, "<=", 1.0)
     with pytest.raises(ValueError):
         principal_eigpair(m)
+    for bad in (np.nan, np.inf):
+        m = np.diag([bad, 1.0])
+        with pytest.raises(sdp.SdpError, match="objective has non-finite"):
+            SdpProblem(m, [SdpConstraint(np.eye(2), "<=", 1.0)])
+        with pytest.raises(sdp.SdpError,
+                           match="constraint matrix has non-finite"):
+            SdpConstraint(m, "<=", 1.0)
+        with pytest.raises(sdp.SdpError,
+                           match="eigpair input has non-finite"):
+            principal_eigpair(m)
 
 
 def test_greater_or_equal_relation_rejected():
@@ -226,30 +236,37 @@ def test_schur_complement_blocks_match_dense_reference(rng):
     assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
-def test_normalize_matches_per_row_unit_scale(rng):
-    """The one-pass normalization is bit-equal to dividing each row by its
-    own _unit_scale, for single-entry rows (unit, scaled, negative, with
-    a dominant |b|, d*d subnormal, d*d zero) and dense rows (Hermitian,
-    identity, all-zero)."""
-    n = 5
-    eye = np.eye(n)
-    single = [(1.0, "=", 1.0), (3.0, "<=", 0.5), (-2.5, "<=", 0.0),
-              (1e-3, "<=", 40.0), (1e-170, "=", 0.0), (1e-160, "<=", 0.0)]
-    cons = [SdpConstraint(d * np.outer(eye[p % n], eye[p % n]), rel, b)
-            for p, (d, rel, b) in enumerate(single)]
-    cons += [SdpConstraint(_random_hermitian(n, rng), "<=", 2.0),
-             SdpConstraint(0.01 * eye, "<=", 0.02),
-             SdpConstraint(np.zeros((n, n)), "<=", 0.0)]
-    amats, bvec, ineq = _normalize(cons, n)
-    for i, con in enumerate(cons):
-        scale = _unit_scale(con.a, con.b)
-        assert amats[i].tobytes() == (con.a / scale).tobytes()
-        assert bvec[i] == con.b / scale
-        assert ineq[i] == (con.relation == "<=")
-    # the Frobenius norm of 1e-170 * e_p e_p^T underflows to 0, so the
-    # entry itself is the scale; at 1e-160 the norm is inexact, not |d|
-    assert amats[4, 4, 4] == 1.0
-    assert amats[5, 0, 0] != 1.0
+def test_unit_scale_edge_cases(rng):
+    """max(||A||_F, |b|) for single-entry terms (unit, scaled, negative,
+    with a dominant |b|, d*d subnormal, d*d zero), dense terms and the
+    all-zero term."""
+    e00 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    assert _unit_scale(e00, 1.0) == 1.0
+    assert _unit_scale(3.0 * e00, 0.5) == 3.0
+    assert _unit_scale(-2.5 * e00) == 2.5
+    assert _unit_scale(1e-3 * e00, 40.0) == 40.0
+    # the Frobenius norm of 1e-160 * e_p e_p^T is inexact, not |d|; at
+    # 1e-170 it underflows to 0, so the entry itself is the scale
+    assert _unit_scale(1e-160 * e00) == np.sqrt(1e-160 * 1e-160) != 1e-160
+    assert _unit_scale(1e-170 * e00) == 1e-170
+    a = _random_hermitian(3, rng)
+    assert _unit_scale(a, 1e-3) == np.linalg.norm(a)
+    small = 0.01 * np.eye(3)
+    assert _unit_scale(small, 0.015) == np.linalg.norm(small)
+    assert _unit_scale(np.zeros((3, 3))) == 1.0
+    assert _unit_scale(np.zeros((3, 3)), -2.0) == 2.0
+
+
+def test_overflowing_norm_scales_by_largest_entry():
+    """Where the squares in the Frobenius norm overflow, the largest entry
+    is the scale, without a warning, and the solve finds the optimum."""
+    c = np.diag([1e200, 2e200]).astype(complex)
+    assert _unit_scale(c) == 2e200
+    assert _unit_scale(1e200 * np.eye(2), 3e200) == 3e200
+    sol = solve(SdpProblem(c, [SdpConstraint(np.eye(2), "<=", 1.0)]))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(2e200, rel=1e-6)
+    np.testing.assert_allclose(sol.x, np.diag([0.0, 1.0]), atol=1e-6)
 
 
 # -- principal eigenpair --------------------------------------------------

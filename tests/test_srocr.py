@@ -6,26 +6,26 @@ from ris_crn.metrics import DesignState
 from ris_crn.optimizer import build_phase_problem, build_ws_problem
 from ris_crn.sdp import SdpConstraint, SdpProblem, principal_eigpair, solve
 from ris_crn.srocr import (RankOneResult, SrocrError, extract_vector,
-                           randomize_phases, rank_one_ratio, refine)
+                           _ratio_eigpair, randomize_phases, refine)
 
 
 def test_ratio_rank_one(rng):
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert rank_one_ratio(np.outer(a, a.conj())) == pytest.approx(1.0,
-                                                                  abs=1e-12)
+    assert _ratio_eigpair(np.outer(a, a.conj()))[0] == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_ratio_identity():
-    assert rank_one_ratio(np.eye(5, dtype=complex)) == pytest.approx(0.2)
+    assert _ratio_eigpair(np.eye(5, dtype=complex))[0] == pytest.approx(0.2)
 
 
 def test_ratio_diagonal():
-    assert rank_one_ratio(np.diag([3.0, 1.0]).astype(complex)) == 0.75
+    assert _ratio_eigpair(np.diag([3.0, 1.0]).astype(complex))[0] == 0.75
 
 
 def test_ratio_rejects_zero_trace():
     with pytest.raises(SrocrError):
-        rank_one_ratio(np.zeros((2, 2), dtype=complex))
+        _ratio_eigpair(np.zeros((2, 2), dtype=complex))
 
 
 def test_refine_noop_when_already_rank_one(rng):
@@ -57,7 +57,7 @@ def test_refined_vector_is_eigpair_of_returned_x(iid_scenario):
     out = refine(problem, solve(problem), unit_modulus=True)
     assert out.iterations >= 1
     lam, q = principal_eigpair(out.x)
-    assert out.ratio == rank_one_ratio(out.x)
+    assert out.ratio == _ratio_eigpair(out.x)[0]
     np.testing.assert_array_equal(out.vector, np.sqrt(max(lam, 0.0)) * q)
 
 
