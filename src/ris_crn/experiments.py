@@ -20,7 +20,8 @@ import numpy as np
 from .channels import generate_channels
 from .optimizer import run_algorithm1
 from .scenario import (Scenario, ScenarioError, _check_angle, _check_fields,
-                       _from_dict, _is_finite_number, apply_overrides)
+                       _from_dict, _is_finite_number, _is_integer,
+                       apply_overrides)
 
 log = logging.getLogger(__name__)
 
@@ -170,8 +171,11 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
 
     Every grid value's scenario is built before any trial runs.  Results
     come back in task order (grid value, then method, then trial) at any
-    worker count, so the CSV does not depend on scheduling.
+    worker count, so the CSV does not depend on scheduling.  ``workers``
+    must be an integer >= 1 (not a bool).
     """
+    if not _is_integer(workers) or workers < 1:
+        raise SweepError(f"workers must be an integer >= 1, got {workers!r}")
     if spec.overrides:
         try:
             scenario = apply_overrides(scenario, spec.overrides)

@@ -3,7 +3,8 @@
 The loop fixes the tilt first (pointing at the RIS when the expected
 reflected power beats the expected direct power), then alternates between
 the beamformer step, the principal eigenvector of its tight semidefinite
-relaxation (reused while the phases stay the same), and the phase step,
+relaxation (the last solve is reused while that relaxation stays
+byte-equal, as it can even after the phases move), and the phase step,
 which co-phases every reflected path with the direct one: the global
 optimum whenever it keeps the interference cap C1.  Only where it does not
 does the phase step run a relaxation with sequential rank-one recovery
@@ -141,17 +142,17 @@ def initial_phases(n_ris: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, size=n_ris)
 
 
-def _solve_ws(state: DesignState, channels: ChannelSet, scenario: Scenario,
-              diag: dict) -> np.ndarray | None:
-    """Beamformer step: sqrt(lambda_1) q_1 of the relaxed X, or None (the
-    beamformer is kept) when the relaxation is not solved to optimality.
+def _solve_ws(problem: sdp.SdpProblem, diag: dict) -> np.ndarray | None:
+    """Beamformer step on ``build_ws_problem``'s relaxation: sqrt(lambda_1)
+    q_1 of the relaxed X, or None (the beamformer is kept) when the
+    relaxation is not solved to optimality.
 
     Tightness: a complex SDP with two constraints has a rank-one optimum
     (rank(X)^2 <= 2; Huang & Palomar, IEEE TSP 2010).  Feasibility:
     lambda_1 q_1 q_1^H <= X, so the vector meets both PSD "<=" constraints
     whenever X does, even for a non-rank-one X.
     """
-    relaxed = sdp.solve(build_ws_problem(state, channels, scenario))
+    relaxed = sdp.solve(problem)
     diag["ws_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
         return None
@@ -264,17 +265,21 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     se_prev = 0.0
     se_trace: list[float] = []
     diagnostics: list[dict] = []
-    # The beamformer subproblem sees the state only through its phases (the
-    # tilt is fixed), so a step whose phases are bit-equal to those of the
-    # last beamformer solve reuses that solve's result and diagnostics.
+    # The beamformer SDP differs between steps only in its objective and C1
+    # matrices (tilt, channels, P and Gamma are fixed within a call), so a
+    # step whose two matrices are byte-equal to those of the last solve
+    # reuses that solve's result and diagnostics.  Equal phases give equal
+    # matrices, and so can moved ones: at far off-boresight tilts the
+    # reflected path sits below an ulp of the direct one.
     ws_key, ws_step, ws_diag = None, None, {}
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
-        key = state.phases.tobytes()
+        problem = build_ws_problem(state, channels, scenario)
+        key = problem.c.tobytes() + problem.constraints[0].a.tobytes()
         reused = key == ws_key
         if not reused:
             ws_key, ws_diag = key, {}
-            ws_step = _solve_ws(state, channels, scenario, ws_diag)
+            ws_step = _solve_ws(problem, ws_diag)
         diag.update(ws_diag, ws_reused=reused)
         state, se_now = accept(state.with_beamformer(
             state.w_s if ws_step is None else ws_step), state, se_now)

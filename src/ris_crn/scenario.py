@@ -32,6 +32,11 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _is_integer(value) -> bool:
+    """An integer (numpy's too) other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_fields(obj, error=ScenarioError):
     """Check every field against its annotation, raising ``error``.
 
@@ -51,8 +56,7 @@ def _check_fields(obj, error=ScenarioError):
                 raise error(f"{f.name} must be a number, got {value!r}")
             if not _is_finite_number(value):
                 raise error(f"{f.name} must be finite, got {value}")
-        elif f.type == "int" and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Integral)):
+        elif f.type == "int" and not _is_integer(value):
             raise error(f"{f.name} must be an integer, got {value!r}")
         elif f.type == "bool" and not isinstance(value, bool):
             raise error(f"{f.name} must be true or false, got {value!r}")

@@ -50,7 +50,7 @@ def check_hermitian(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     adj = mat.conj().T
     if np.abs(mat - adj).max(initial=0.0) > HERM_TOL * max(1.0, peak):
         raise SdpError(f"{name} is not Hermitian")
-    return 0.5 * (mat + adj)
+    return 0.5 * mat + 0.5 * adj     # 0.5 * (mat + adj) can overflow
 
 
 @dataclass(frozen=True)

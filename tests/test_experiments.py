@@ -240,6 +240,19 @@ def test_pool_no_larger_than_task_list(small_iid_scenario, monkeypatch):
     assert sizes == [1, 2, 3]
 
 
+@pytest.mark.parametrize("workers", [0, -2, True, 1.5, "2", None])
+def test_run_sweep_rejects_bad_worker_count(workers, small_iid_scenario):
+    spec = SweepSpec(kind="power", grid=(0.0,), trials=1, methods=("no_ris",))
+    with pytest.raises(SweepError, match="workers must be an integer"):
+        run_sweep(spec, small_iid_scenario, workers=workers)
+
+
+def test_run_sweep_takes_numpy_worker_count(small_iid_scenario):
+    spec = SweepSpec(kind="power", grid=(0.0,), trials=1, methods=("no_ris",))
+    assert (run_sweep(spec, small_iid_scenario, workers=np.int64(1)).to_csv()
+            == run_sweep(spec, small_iid_scenario).to_csv())
+
+
 def test_run_sweep_applies_overrides(iid_scenario, tmp_path):
     spec = SweepSpec(kind="power", grid=(0.0,), trials=1, base_seed=0,
                      methods=("random_phase",), overrides={"n_ris": 3})

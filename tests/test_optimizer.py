@@ -128,7 +128,7 @@ def test_beamformer_step_matches_closed_form(n_s, tilt, cap, scenario,
     w_mrt = np.sqrt(sc.p_max_w) * a.conj() / np.linalg.norm(a)
     gamma = 1e9 if cap == "slack" else 0.1 * abs(b @ w_mrt) ** 2
     sc = apply_overrides(sc, {"gamma_w": float(gamma)})
-    w = optimizer._solve_ws(state, ch, sc, {})
+    w = optimizer._solve_ws(build_ws_problem(state, ch, sc), {})
     assert np.vdot(w, w).real <= sc.p_max_w * (1 + 1e-6)
     assert abs(b @ w) ** 2 <= sc.gamma_w * (1 + 1e-6)
     oracle = _zhang_liang_beamformer(a, b, sc.p_max_w, sc.gamma_w)
@@ -148,9 +148,9 @@ def test_zero_signal_beamformer_step(n_s, iid_scenario, monkeypatch):
     steps = []
     real_ws = optimizer._solve_ws
 
-    def ws_spy(state, channels, scenario, diag):
-        w = real_ws(state, channels, scenario, diag)
-        steps.append(state.with_beamformer(w))
+    def ws_spy(problem, diag):
+        w = real_ws(problem, diag)
+        steps.append(w)
         return w
 
     monkeypatch.setattr(optimizer, "_solve_ws", ws_spy)
@@ -158,7 +158,9 @@ def test_zero_signal_beamformer_step(n_s, iid_scenario, monkeypatch):
     res = run_algorithm1(ch, sc, seed=0, fixed_tilt_deg=-30.0)
     assert len(log) == 1
     assert srocr._ratio_eigpair(solve(log[0]).x)[0] < srocr.RANK_TOL
-    (step,) = steps
+    # the one solve is the first step's, taken at the initial design
+    (w,) = steps
+    step = DesignState(w, initial_phases(sc.n_ris, 0), -30.0)
     assert np.vdot(step.w_s, step.w_s).real <= sc.p_max_w * (1 + 1e-6)
     assert pu_interference(step, ch, sc) <= sc.gamma_w * (1 + 1e-6)
     assert res.feasible
@@ -489,6 +491,41 @@ def test_no_identical_consecutive_solves(iid_scenario, monkeypatch):
     # the SE as it was when every failed round was solved again
     assert trial.se_bps_hz == pytest.approx(9.17093217784074, rel=1e-9)
     assert trial.outer_iterations == 6
+
+
+def test_far_tilt_cophase_step_reuses_beamformer_solve(iid_scenario,
+                                                       monkeypatch):
+    """At -90 deg A_r is ~1e-44 against A_d ~ 0.06, so the reflected path
+    sits below an ulp of the direct one: the co-phased step moves the
+    phases but leaves the beamformer SDP byte-equal, and the second step
+    reuses the first solve."""
+    sc = apply_overrides(iid_scenario, {"n_s": 4})
+    ch = generate_channels(sc, seed=0)
+    log = _solve_log(monkeypatch)
+    res = run_algorithm1(ch, sc, seed=0, fixed_tilt_deg=-90.0)
+    assert [(p.dim, len(p.constraints)) for p in log] == [(sc.n_s, 2)]
+    assert [d["ws_reused"] for d in res.diagnostics] == [False, True]
+    assert [d["phase_recovery"] for d in res.diagnostics] == ["cophase"] * 2
+    assert not np.array_equal(res.state.phases, initial_phases(sc.n_ris, 0))
+    # the SE as it was when the second step solved the same SDP again
+    assert res.se_trace == [0.9329264314127038] * 2
+
+
+@pytest.mark.parametrize("method", ["proposed", "random_phase"])
+def test_no_beamformer_sdp_solved_twice_in_a_row(method, iid_scenario,
+                                                 monkeypatch):
+    """Over the tilt grid, no run solves a beamformer SDP byte-equal to
+    the one it solved before (the phase SDPs have dim N + 1)."""
+    sc = apply_overrides(iid_scenario, {"n_s": 4})
+    log = _solve_log(monkeypatch)
+    for tilt in range(-180, 1, 30):
+        for seed in (0, 1):
+            log.clear()
+            run_trial(sc, method, seed=seed, fixed_tilt_deg=float(tilt))
+            solved = [p for p in log if p.dim == sc.n_s]
+            assert solved
+            assert not any(_same_problem(p, q)
+                           for p, q in zip(solved, solved[1:])), (tilt, seed)
 
 
 def test_failed_phase_solves_are_full_weight_rounds_with_no_interior(

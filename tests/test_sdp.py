@@ -25,6 +25,13 @@ def test_check_hermitian(rng):
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_check_hermitian_keeps_huge_finite_entries():
+    # a sum of two entries near the float limit overflows; halving each
+    # first does not, and is exact
+    big = np.array([[1e308, 1e308 + 1e308j], [1e308 - 1e308j, -1e308]])
+    np.testing.assert_array_equal(check_hermitian(big), big)
+
+
 def test_embedding_rejects_non_hermitian(rng):
     # Every matrix that enters the solver, as objective, constraint or
     # eigenpair input, is rejected if it is not Hermitian or not finite.
