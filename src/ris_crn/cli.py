@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .channels import generate_channels
+from .channels import ChannelError, generate_channels
 from .experiments import SweepError, TrialError, load_sweep_spec, run_sweep
 from .optimizer import run_algorithm1
 from .scenario import ScenarioError, load_scenario, paper_default
@@ -34,13 +34,15 @@ def _configure_logging():
 
 def _document(load):
     """Option callback that loads a JSON document with ``load``; a document
-    that does not parse or validate is a usage error (exit status 2)."""
+    that does not decode, parse or validate is a usage error (exit status
+    2)."""
     def callback(ctx, param, path):
         if path is None:
             return None
         try:
             return load(path)
-        except (json.JSONDecodeError, ScenarioError, SweepError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, ScenarioError,
+                SweepError) as exc:
             raise click.BadParameter(str(exc), ctx, param) from exc
     return callback
 
@@ -102,6 +104,8 @@ def solve(scenario, seed, fixed_tilt):
                                 fixed_tilt_deg=fixed_tilt)
     except ScenarioError as exc:   # only the fixed tilt is checked there
         raise click.BadParameter(str(exc), param_hint="--tilt") from exc
+    except ChannelError as exc:    # e.g. a PBS->PU path loss that underflows
+        raise click.BadParameter(str(exc), param_hint="--scenario") from exc
     doc = {
         "se_bps_hz": result.se,
         "se_trace": [float(v) for v in result.se_trace],

@@ -8,9 +8,11 @@ byte-equal, as it can even after the phases move), and the phase step,
 which co-phases every reflected path with the direct one: the global
 optimum whenever it keeps the interference cap C1.  Only where it does not
 does the phase step run a relaxation with sequential rank-one recovery
-(SROCR).  Every accepted iterate is feasible and the spectral-efficiency
-trace is non-decreasing by construction: a recovered candidate that would
-lower the objective is discarded in favor of the previous iterate.
+(SROCR): an SDP whose one dense row is C1 and whose unit-modulus entries
+are the solver's implicit unit diagonal.  Every accepted iterate is
+feasible and the spectral-efficiency trace is non-decreasing by
+construction: a recovered candidate that would lower the objective is
+discarded in favor of the previous iterate.
 """
 
 from __future__ import annotations
@@ -94,10 +96,9 @@ def build_ws_problem(state: DesignState, channels: ChannelSet,
     a = effective_su_row(state, channels, scenario)
     b = effective_pu_row(state, channels, scenario)
     n_s = scenario.n_s
-    return sdp.SdpProblem(
-        np.outer(a.conj(), a),
-        [sdp.SdpConstraint(np.outer(b.conj(), b), "<=", scenario.gamma_w),
-         sdp.SdpConstraint(np.eye(n_s), "<=", scenario.p_max_w)])
+    return sdp.SdpProblem(np.outer(a.conj(), a),
+                          (np.outer(b.conj(), b), np.eye(n_s)),
+                          (scenario.gamma_w, scenario.p_max_w))
 
 
 def build_phase_problem(state: DesignState, channels: ChannelSet,
@@ -105,8 +106,8 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
     """Phase subproblem in homogenized form.
 
     Returns (SdpProblem over X of size N+1, l1, l2) with objective
-    l1 + tr(H1 X), interference constraint l2 + tr(H2 X) <= Gamma and
-    unit-diagonal constraints.  For every unit-modulus x = [e^{j alpha}; 1],
+    l1 + tr(H1 X), the one dense row l2 + tr(H2 X) <= Gamma and X_pp = 1
+    (``unit_diagonal``).  For every unit-modulus x = [e^{j alpha}; 1],
     l1 + x^H H1 x equals |a(alpha) w_s|^2 exactly.
     """
     a_d, a_r, a_i = pattern_gains(state, scenario)
@@ -127,10 +128,8 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
 
     h1, l1 = quad(channels.u, channels.h_s, a_d)
     h2, l2 = quad(channels.v, channels.f_p, a_i)
-    cons = [sdp.SdpConstraint(h2, "<=", scenario.gamma_w - l2),
-            *(sdp.SdpConstraint(np.outer(e, e), "=", 1.0)   # X_ii = 1
-              for e in np.eye(n + 1))]
-    return sdp.SdpProblem(h1, cons), l1, l2
+    return (sdp.SdpProblem(h1, (h2,), (scenario.gamma_w - l2,),
+                           unit_diagonal=True), l1, l2)
 
 
 # -- main loop ------------------------------------------------------------
@@ -275,7 +274,7 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
         problem = build_ws_problem(state, channels, scenario)
-        key = problem.c.tobytes() + problem.constraints[0].a.tobytes()
+        key = problem.c.tobytes() + problem.a[0].tobytes()
         reused = key == ws_key
         if not reused:
             ws_key, ws_diag = key, {}

@@ -1,20 +1,21 @@
 """Semidefinite programming over small Hermitian matrices.
 
-Solves  maximize tr(C X)  s.t.  tr(A_i X) {<=,=} b_i,  X >= 0 (PSD)
-with a primal-dual path-following interior-point method (Mehrotra
-predictor-corrector, HKM direction) run directly in complex Hermitian
-arithmetic.  Problem dimensions here stay below ~70, so X and Z are dense.
-The constraints are split once, at set-up: a diagonal-entry constraint,
-A_i = d_i e_p e_p^T, touches only X_pp, and the Schur complement block of
-two such rows is d_i d_j Re(X_pq Zinv_qp), so the N+1 unit-modulus rows of
-a phase SDP cost O(n^2) per iteration in all (Helmberg, Rendl, Vanderbei &
-Wolkowicz, SIAM J. Optim. 1996).  Only the other rows, the interference cap
-and an SROCR alignment, go through dense X A_j Zinv products.  The maps
-A(X) and A^T(y) stay one dense product each, which at these sizes is as
-fast as the split.
+Solves  maximize tr(C X)  s.t.  tr(A_i X) <= b_i,  [X_pp = 1 for all p],
+X >= 0 (PSD) with a primal-dual path-following interior-point method
+(Mehrotra predictor-corrector, HKM direction) run directly in complex
+Hermitian arithmetic.  These are the two shapes the optimizer builds: a
+few dense "<=" rows (the beamformer's power budget and interference cap,
+a phase SDP's interference cap, an SROCR alignment), plus, with
+``unit_diagonal``, the unit-modulus rows of a phase SDP.  Problem
+dimensions stay below ~70, so X and Z are dense.  A unit-diagonal row
+touches only X_pp: A(X) ends in Re diag X, A^T(y) adds Diag(y), and the
+Schur complement block of two such rows is Re(X_pq Zinv_qp), so the N+1
+rows cost O(n^2) per iteration in all (Helmberg, Rendl, Vanderbei &
+Wolkowicz, SIAM J. Optim. 1996).  Only the dense rows go through
+X A_j Zinv products.
 
-Set-up runs once per solve: it scales every term to unit size, classifies
-the rows for the Schur complement and allocates the buffers that each
+Set-up runs once per solve: it scales every dense term to unit size (a
+unit-diagonal row already has it) and allocates the buffers that each
 iteration rewrites in place.  At these sizes an iteration costs mostly
 numpy call overhead, so it makes few calls, but its arithmetic and the
 order of every reduction are fixed: the norms are np.linalg.norm's dot
@@ -26,7 +27,7 @@ the SROCR path and the reported SE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, zpotrf, ztrtri
@@ -54,51 +55,58 @@ def check_hermitian(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SdpConstraint:
-    a: np.ndarray       # Hermitian coefficient matrix
-    relation: str       # "<=" or "="; tr(A X) >= b is (-A, "<=", -b)
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", check_hermitian(self.a, "constraint matrix"))
-        if self.relation not in ("<=", "="):
-            raise SdpError(f"unknown relation {self.relation!r}")
-        if not np.isfinite(self.b):
-            raise SdpError("constraint bound must be finite")
-
-
-@dataclass(frozen=True)
 class SdpProblem:
-    """maximize tr(C X) subject to the listed trace constraints and X PSD."""
+    """maximize tr(C X) subject to tr(A_i X) <= b_i for each dense row
+    (A_i, b_i), X_pp = 1 for every p when ``unit_diagonal`` is set, and
+    X PSD.  tr(A X) >= b is the row (-A, -b)."""
     c: np.ndarray
-    constraints: list[SdpConstraint] = field(default_factory=list)
+    a: tuple[np.ndarray, ...] = ()
+    b: tuple[float, ...] = ()
+    unit_diagonal: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "c", check_hermitian(self.c, "objective"))
-        n = self.c.shape[0]
-        for con in self.constraints:
-            if con.a.shape != (n, n):
-                raise SdpError(f"constraint matrix shape {con.a.shape} does "
+        n = self.dim
+        a = tuple(check_hermitian(mat, "constraint matrix") for mat in self.a)
+        b = tuple(float(v) for v in self.b)
+        if len(a) != len(b):
+            raise SdpError(f"{len(a)} constraint matrices but {len(b)} bounds")
+        for mat in a:
+            if mat.shape != (n, n):
+                raise SdpError(f"constraint matrix shape {mat.shape} does "
                                f"not match objective dimension {n}")
+        if not all(map(math.isfinite, b)):
+            raise SdpError("constraint bound must be finite")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def dim(self) -> int:
         return self.c.shape[0]
 
-    def with_constraint(self, a, relation, b) -> "SdpProblem":
-        return SdpProblem(self.c,
-                          list(self.constraints) + [SdpConstraint(a, relation, b)])
+    @property
+    def constraints(self) -> tuple[tuple[np.ndarray, float], ...]:
+        """Every row as (A_i, b_i): the dense rows, then X_pp = 1 as
+        (e_p e_p^T, 1) for each p."""
+        rows = tuple(zip(self.a, self.b))
+        if self.unit_diagonal:
+            rows += tuple((np.diag(e), 1.0)
+                          for e in np.eye(self.dim, dtype=complex))
+        return rows
+
+    def with_constraint(self, a, b) -> "SdpProblem":
+        return SdpProblem(self.c, self.a + (a,), self.b + (b,),
+                          self.unit_diagonal)
 
     def constraint_violation(self, x: np.ndarray) -> float:
-        """Worst relative violation of the trace constraints at X = x."""
+        """Worst relative violation of the constraints at X = x."""
         worst = 0.0
-        for con in self.constraints:
-            val = float(np.tensordot(con.a.conj(), x).real)
-            scale = 1.0 + abs(con.b)
-            if con.relation == "<=":
-                worst = max(worst, (val - con.b) / scale)
-            else:
-                worst = max(worst, abs(val - con.b) / scale)
+        for a, b in zip(self.a, self.b):
+            val = float(np.tensordot(a.conj(), x).real)
+            worst = max(worst, (val - b) / (1.0 + abs(b)))
+        if self.unit_diagonal:
+            gaps = np.abs(x.diagonal().real - 1.0)     # |X_pp - 1| / (1 + 1)
+            worst = max(worst, float(gaps.max()) / 2.0)
         return worst
 
 
@@ -155,79 +163,55 @@ def _unit_scale(mat: np.ndarray, b: float = 0.0) -> float:
     return scale
 
 
-class _SchurComplement:
-    """HKM Schur complement M_ij = Re tr(A_i X A_j Zinv) of a constraint
-    stack, assembled in blocks from its diagonal-entry rows (A_i =
-    d_i e_p e_p^T) and its dense rows.
+def _schur_complement(x: np.ndarray, zinv: np.ndarray, amats: np.ndarray,
+                      aconj_flat: np.ndarray, unit_diagonal: bool):
+    """HKM Schur complement M_ij = Re tr(A_i X A_j Zinv) of the dense rows
+    ``amats`` (``aconj_flat`` holds their conjugates, one row each),
+    followed with ``unit_diagonal`` by the rows X_pp = 1 (A = e_p e_p^T).
 
-    Swapping i and j conjugates the trace, so M is symmetric.  A diagonal
-    row meets a dense row j in d_i Re(X A_j Zinv)_pp, so only the dense rows
-    need the products X A_j Zinv.  Without diagonal-entry rows, as in the
-    beamformer SDP, M is the dense block alone.
+    Swapping i and j conjugates the trace, so M is symmetric.  Two diagonal
+    rows p and q meet in Re(X_pq Zinv_qp), and a diagonal row p meets a
+    dense row j in Re(X A_j Zinv)_pp, so only the dense rows need the
+    products X A_j Zinv.
     """
-
-    def __init__(self, amats: np.ndarray):
-        m, n, _ = amats.shape
-        flat = amats.reshape(m, n * n)
-        nonzero = flat != 0
-        # a Hermitian matrix's one nonzero entry can only be on the diagonal
-        is_diag = np.count_nonzero(nonzero, axis=1) == 1
-        gi = (~is_diag).nonzero()[0]
-        self.dense = amats[gi]
-        self.dense_conj_flat = flat[gi].conj()
-        self.pos = None                            # no diagonal-entry rows
-        di = is_diag.nonzero()[0]
-        if di.size:
-            self.pos = np.argmax(nonzero[di], axis=1) // (n + 1)  # p of e_p
-            self.d = flat[di, self.pos * (n + 1)].real
-            self.dd = np.outer(self.d, self.d)
-            # the np.ix_ index sets, by broadcasting
-            self.ix_pp = (self.pos[:, None], self.pos)
-            self.ix_gg, self.ix_dd = (gi[:, None], gi), (di[:, None], di)
-            self.ix_dg, self.ix_gd = (di[:, None], gi), (gi[:, None], di)
-            self.shape = (m, m)
-
-    def __call__(self, x: np.ndarray, zinv: np.ndarray) -> np.ndarray:
-        t = x @ self.dense @ zinv                  # (dense rows, n, n)
-        dense_block = (self.dense_conj_flat
-                       @ t.reshape(self.dense_conj_flat.shape).T).real
-        if self.pos is None:
-            return dense_block
-        big_m = np.empty(self.shape)
-        big_m[self.ix_gg] = dense_block
-        big_m[self.ix_dd] = self.dd * (x * zinv.T)[self.ix_pp].real
-        cross = self.d[:, None] * t[:, self.pos, self.pos].real.T
-        big_m[self.ix_dg] = cross
-        big_m[self.ix_gd] = cross.T
-        return big_m
+    t = x @ amats @ zinv                       # (dense rows, n, n)
+    dense_block = (aconj_flat @ t.reshape(aconj_flat.shape).T).real
+    if not unit_diagonal:
+        return dense_block
+    cross = t.diagonal(axis1=1, axis2=2).real  # (dense rows, n)
+    return np.block([[dense_block, cross], [cross.T, (x * zinv.T).real]])
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
     """Interior-point solve; deterministic for fixed inputs."""
     n = problem.dim
-    m = len(problem.constraints)
+    k = len(problem.a)                   # the dense "<=" rows come first
+    unit_diagonal = problem.unit_diagonal
+    m = k + (n if unit_diagonal else 0)
     if m == 0:
         raise SdpError("problem needs at least one constraint bounding X")
 
-    # normalize: scale objective and constraints to unit size
-    cons = problem.constraints
+    # normalize: scale objective and dense rows to unit size; a diagonal
+    # row's scale max(||e_p e_p^T||_F, 1) is 1
     cmat = problem.c / _unit_scale(problem.c)
-    scale = np.array([_unit_scale(con.a, con.b) for con in cons])
-    amats = np.array([con.a for con in cons]) / scale[:, None, None]
-    bvec = np.array([con.b for con in cons]) / scale
-    ineq = np.array([con.relation != "=" for con in cons])
-    schur = _SchurComplement(amats)
-    ineq_rows = np.flatnonzero(ineq).tolist()  # the few "<=" rows
-    k = len(ineq_rows)
-    aconj_flat = amats.conj().reshape(m, n * n)
-    aconj_ineq = aconj_flat[ineq]
-    a_flat = amats.reshape(m, n * n)
+    scale = np.array([_unit_scale(a, b) for a, b in zip(problem.a, problem.b)])
+    amats = (np.array(problem.a, dtype=complex).reshape(k, n, n)
+             / scale[:, None, None])
+    bvec = np.concatenate([np.array(problem.b) / scale, np.ones(m - k)])
+    aconj_flat = amats.conj().reshape(k, n * n)
+    a_flat = amats.reshape(k, n * n)
 
     def opA(xmat):  # <A_i, X> for all i
-        return (aconj_flat @ xmat.ravel()).real
+        ax = (aconj_flat @ xmat.ravel()).real
+        if unit_diagonal:
+            return np.concatenate([ax, xmat.diagonal().real])
+        return ax
 
     def opAt(yvec):  # sum_i y_i A_i
-        return (yvec @ a_flat).reshape(n, n)
+        t = (yvec[:k] @ a_flat).reshape(n, n)
+        if unit_diagonal:
+            t.flat[::n + 1] += yvec[k:]
+        return t
 
     ident = np.eye(n, dtype=complex)
     c_frob = float(np.linalg.norm(cmat))
@@ -235,9 +219,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     x = tau * ident
     z = max(1.0, c_frob) * ident
     y = np.zeros(m)
-    y[ineq] = 1.0
-    s = np.zeros(m)
-    s[ineq] = tau
+    y[:k] = 1.0
+    s = np.zeros(m)                            # slacks; 0 on the diagonal rows
+    s[:k] = tau
 
     b_norm = 1.0 + float(np.linalg.norm(bvec))
     c_norm = 1.0 + c_frob
@@ -269,7 +253,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if corr_lp is not None:
             rhs = rhs - corr_lp * inv_y
         if corr_term is not None:
-            rhs = rhs - (aconj_flat @ corr_term.ravel()).real
+            rhs = rhs - opA(corr_term)
         dy = dgetrs(lu, piv, rhs)[0]
         t = opAt(dy) - rd
         np.multiply(0.5, t + t.conj().T, out=dz)
@@ -278,17 +262,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
             t = t - corr_term
         np.multiply(0.5, t + t.conj().T, out=dx)
         ds = np.zeros(m)
-        if k:
-            a_dx = (aconj_ineq @ dx.ravel()).real
-            for j, i in enumerate(ineq_rows):
-                ds[i] = rp[i] - a_dx[j]
+        ds[:k] = rp[:k] - (aconj_flat @ dx.ravel()).real
         return dy, ds
 
     def step_lengths(dy, ds):
         ap, ad = _max_steps(linv, dmats)
         # far off boresight the data is ~1e-235 and a ratio can overflow;
         # Python's float division gives inf then, an unbounded step
-        for i in ineq_rows:
+        for i in range(k):
             if ds[i] < 0:
                 ap = min(ap, -float(s[i]) / float(ds[i]))
             if dy[i] < 0:
@@ -329,16 +310,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # Schur complement M_ij = <A_i, X A_j Zinv> (+ s_i/y_i on the
         # diagonal); s/y, not s * (1/y), which rounds differently
-        for i in ineq_rows:
+        for i in range(k):
             sy_diag[i, i] = s[i] / y[i]
             inv_y[i] = 1.0 / y[i]
-        big_m = schur(x, zinv) + sy_diag
-        xrdzi = x @ rd @ zinv
-        base = (aconj_flat @ xrdzi.ravel()).real - bvec
-        ta = (aconj_flat @ zinv.ravel()).real + inv_y   # tr(A_i Zinv) + 1/y_i
+        big_m = (_schur_complement(x, zinv, amats, aconj_flat, unit_diagonal)
+                 + sy_diag)
+        base = opA(x @ rd @ zinv) - bvec
+        ta = opA(zinv) + inv_y                     # tr(A_i Zinv) + 1/y_i
 
-        # a zero pivot (info > 0): the Schur complement is exactly singular,
-        # as it is when the same equality is given twice
+        # a zero pivot (info > 0): the Schur complement is exactly singular
         lu, piv, info = dgetrf(big_m)
         if info != 0:
             status = "numerical-failure"
@@ -363,7 +343,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         s = s + ap * ds
         y = y + ad * dy
         z = z + ad * dz
-        for i in ineq_rows:
+        for i in range(k):
             if s[i] < 1e-300:
                 s[i] = 1e-300
             if y[i] < 1e-300:

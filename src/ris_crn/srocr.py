@@ -98,7 +98,7 @@ def refine(problem: SdpProblem, relaxed: SdpSolution,
             align = _align_direction(q, unit_modulus)
             # a^H X a >= w * tr(X)  <=>  tr((w I - a a^H) X) <= 0
             sol = sdp.solve(problem.with_constraint(
-                w_try * np.eye(n) - np.outer(align, align.conj()), "<=", 0.0))
+                w_try * np.eye(n) - np.outer(align, align.conj()), 0.0))
         # A unit-modulus round at w_try = 1 has one feasible point:
         # tr((I - a a^H) X) <= 0 forces X = c a a^H, and the unit diagonal
         # gives X = u u^H with u = sqrt(n) a.  With no interior point the
@@ -162,7 +162,7 @@ def randomize_phases(problem: SdpProblem, relaxed_x: np.ndarray,
     candidates = [q]
     g = (rng.standard_normal((N_RANDOMIZATIONS, n))
          + 1j * rng.standard_normal((N_RANDOMIZATIONS, n))) / np.sqrt(2.0)
-    candidates.extend(g @ root.conj().T)
+    candidates.extend(g @ root.T)       # each row root @ g_i ~ CN(0, X)
     for cand in candidates:
         mod = np.abs(cand)
         if np.any(mod < 1e-15):

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from ris_crn.cli import main
-from ris_crn.scenario import paper_default, scenario_to_dict
+from ris_crn.scenario import apply_overrides, paper_default, scenario_to_dict
 
 
 @pytest.fixture()
@@ -116,7 +116,11 @@ def _spec_doc(**changes):
                  "n_s must be >= 1", id="spec-overrides-bad-scenario"),
     pytest.param("--spec", json.dumps(_spec_doc(grid=[4000])),
                  "p_max_dbw must give a finite power",
-                 id="spec-grid-bad-scenario")])
+                 id="spec-grid-bad-scenario"),
+    pytest.param("--scenario", b'{"n_s": "\xff"}', "can't decode byte 0xff",
+                 id="scenario-not-utf8"),
+    pytest.param("--spec", b'{"kind": "\xe9"}', "can't decode byte 0xe9",
+                 id="spec-not-utf8")])
 def test_bad_input_document_is_usage_error(runner, tmp_path, option, text,
                                            message):
     paths = {"--spec": tmp_path / "spec.json",
@@ -125,7 +129,10 @@ def test_bad_input_document_is_usage_error(runner, tmp_path, option, text,
     paths["--scenario"].write_text(json.dumps(
         scenario_to_dict(paper_default())))
     path = paths[option]
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     result = runner.invoke(main, ["sweep", "--spec", str(paths["--spec"]),
                                   "--scenario", str(paths["--scenario"]),
                                   "--out", str(tmp_path / "out.csv")])
@@ -137,3 +144,18 @@ def test_bad_input_document_is_usage_error(runner, tmp_path, option, text,
         result = runner.invoke(main, ["solve", option, str(path)])
         assert result.exit_code == 2
         assert option in result.output and message in result.output
+
+
+@pytest.mark.parametrize("changes", [
+    pytest.param({"channel": {"zeta0_db": -4000.0}}, id="path-loss-underflow"),
+    pytest.param({"positions": {"pbs": {"x": 1e200}}}, id="pbs-far-away")])
+def test_zero_pbs_to_pu_channel_is_usage_error(runner, tmp_path, changes):
+    """A scenario whose PBS->PU channel underflows to zero leaves the PBS
+    beamformer undefined: a usage error on --scenario, not a traceback."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_dict(
+        apply_overrides(paper_default(), changes))))
+    result = runner.invoke(main, ["solve", "--scenario", str(path)])
+    assert result.exit_code == 2
+    assert "--scenario" in result.output and "h_p is zero" in result.output
+    assert "Traceback" not in result.output

@@ -62,7 +62,7 @@ def test_ws_problem_tiny_cap_forces_null_steering(iid_scenario, rng):
     sol = solve(problem)
     assert sol.status == "optimal"
     a2 = np.trace(problem.c).real
-    b2 = np.trace(problem.constraints[0].a).real
+    b2 = np.trace(problem.a[0]).real
     bound = sc.gamma_w * a2 / b2
     assert sol.objective <= bound * (1 + 1e-4) + 1e-15
 
@@ -76,7 +76,7 @@ def test_ws_relaxation_upper_bounds_feasible_points(iid_scenario, rng):
     sol = solve(problem)
     assert sol.status == "optimal"
     a = effective_su_row(state, ch, iid_scenario)
-    b_mat = problem.constraints[0].a
+    b_mat = problem.a[0]
     hits = 0
     for _ in range(10_000):
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -175,7 +175,7 @@ def test_phase_problem_zero_beamformer(iid_scenario):
     problem, l1, l2 = build_phase_problem(state, ch, iid_scenario)
     assert l1 == 0.0 and l2 == 0.0
     np.testing.assert_array_equal(problem.c, 0.0)
-    np.testing.assert_array_equal(problem.constraints[0].a, 0.0)
+    np.testing.assert_array_equal(problem.a[0], 0.0)
 
 
 def test_phase_problem_matrices_hermitian(iid_scenario, rng):
@@ -185,8 +185,8 @@ def test_phase_problem_matrices_hermitian(iid_scenario, rng):
                         iid_scenario.theta_r_deg)
     problem, _, _ = build_phase_problem(state, ch, iid_scenario)
     np.testing.assert_allclose(problem.c, problem.c.conj().T, atol=1e-12)
-    np.testing.assert_allclose(problem.constraints[0].a,
-                               problem.constraints[0].a.conj().T, atol=1e-12)
+    np.testing.assert_allclose(problem.a[0], problem.a[0].conj().T,
+                               atol=1e-12)
 
 
 def test_phase_problem_unit_diagonal_rows(iid_scenario):
@@ -196,11 +196,12 @@ def test_phase_problem_unit_diagonal_rows(iid_scenario):
     state = DesignState(np.ones(2, dtype=complex), initial_phases(n - 1, 10),
                         iid_scenario.theta_r_deg)
     problem, _, _ = build_phase_problem(state, ch, iid_scenario)
+    assert problem.unit_diagonal
     rows = problem.constraints[1:]
     assert len(rows) == n
-    for i, con in enumerate(rows):
-        np.testing.assert_array_equal(con.a, np.diag(np.eye(n)[i]))
-        assert (con.relation, con.b) == ("=", 1.0)
+    for i, (a, b) in enumerate(rows):
+        np.testing.assert_array_equal(a, np.diag(np.eye(n)[i]))
+        assert b == 1.0
 
 
 def test_phase_quadratic_form_identity(iid_scenario, rng):
@@ -216,7 +217,7 @@ def test_phase_quadratic_form_identity(iid_scenario, rng):
         direct = abs(np.dot(effective_su_row(state, ch, iid_scenario),
                             w)) ** 2
         assert quad == pytest.approx(direct, rel=1e-10)
-        quad2 = l2 + float(np.vdot(x, problem.constraints[0].a @ x).real)
+        quad2 = l2 + float(np.vdot(x, problem.a[0] @ x).real)
         direct2 = pu_interference(state, ch, iid_scenario)
         assert quad2 == pytest.approx(direct2, rel=1e-10)
 
@@ -473,11 +474,9 @@ def test_far_tilt_beamformer_relaxation_is_rank_one(iid_scenario):
 
 
 def _same_problem(p, q):
-    return (np.array_equal(p.c, q.c)
-            and len(p.constraints) == len(q.constraints)
-            and all(np.array_equal(a.a, b.a) and a.relation == b.relation
-                    and a.b == b.b
-                    for a, b in zip(p.constraints, q.constraints)))
+    return (np.array_equal(p.c, q.c) and p.b == q.b
+            and p.unit_diagonal == q.unit_diagonal
+            and all(map(np.array_equal, p.a, q.a)))
 
 
 def test_no_identical_consecutive_solves(iid_scenario, monkeypatch):
@@ -552,16 +551,15 @@ def test_failed_phase_solves_are_full_weight_rounds_with_no_interior(
     for problem in failed:
         n = problem.dim
         assert (n, len(problem.constraints)) == (sc.n_ris + 1, n + 2)
-        align = problem.constraints[-1]
-        assert align.relation == "<=" and align.b == 0.0
-        vals, vecs = np.linalg.eigh(np.eye(n) - align.a)    # = a a^H at w = 1
+        assert problem.unit_diagonal and problem.b[-1] == 0.0
+        vals, vecs = np.linalg.eigh(np.eye(n) - problem.a[-1])  # a a^H at w=1
         np.testing.assert_allclose(vals[:-1], 0.0, atol=1e-12)
         u = np.sqrt(n * vals[-1]) * vecs[:, -1]
         np.testing.assert_allclose(np.abs(u), 1.0, rtol=1e-12)
         point = np.outer(u, u.conj())
         assert problem.constraint_violation(point) <= 1e-12
-        c1 = problem.constraints[0]
-        assert float(np.vdot(u, c1.a @ u).real) <= (1 - 0.04) * c1.b
+        assert (float(np.vdot(u, problem.a[0] @ u).real)
+                <= (1 - 0.04) * problem.b[0])
 
 
 @pytest.mark.parametrize("method", ["random_phase", "fixed_zero_phase",

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ris_crn import sdp
-from ris_crn.sdp import (SdpConstraint, SdpProblem, _max_steps,
-                         _SchurComplement, _unit_scale, check_hermitian,
-                         principal_eigpair, solve)
+from ris_crn.sdp import (SdpProblem, _max_steps, _schur_complement,
+                         _unit_scale, check_hermitian, principal_eigpair,
+                         solve)
 
 
 def _random_hermitian(n, rng):
@@ -39,25 +39,46 @@ def test_embedding_rejects_non_hermitian(rng):
     with pytest.raises(ValueError):
         SdpProblem(m)
     with pytest.raises(ValueError):
-        SdpConstraint(m, "<=", 1.0)
+        SdpProblem(np.eye(3), (m,), (1.0,))
     with pytest.raises(ValueError):
         principal_eigpair(m)
     for bad in (np.nan, np.inf):
         m = np.diag([bad, 1.0])
         with pytest.raises(sdp.SdpError, match="objective has non-finite"):
-            SdpProblem(m, [SdpConstraint(np.eye(2), "<=", 1.0)])
+            SdpProblem(m, (np.eye(2),), (1.0,))
         with pytest.raises(sdp.SdpError,
                            match="constraint matrix has non-finite"):
-            SdpConstraint(m, "<=", 1.0)
+            SdpProblem(np.eye(2), (m,), (1.0,))
         with pytest.raises(sdp.SdpError,
                            match="eigpair input has non-finite"):
             principal_eigpair(m)
 
 
-def test_greater_or_equal_relation_rejected():
-    # tr(A X) >= b is written as (-A, "<=", -b)
-    with pytest.raises(sdp.SdpError, match="unknown relation"):
-        SdpConstraint(np.eye(2), ">=", 1.0)
+def test_problem_shape_checks():
+    """Bounds must be finite and match the matrices one to one and in
+    shape; a problem with no rows at all leaves X unbounded."""
+    with pytest.raises(sdp.SdpError, match="bound must be finite"):
+        SdpProblem(np.eye(2), (np.eye(2),), (np.inf,))
+    with pytest.raises(sdp.SdpError, match="1 constraint matrices but 2"):
+        SdpProblem(np.eye(2), (np.eye(2),), (1.0, 2.0))
+    with pytest.raises(sdp.SdpError, match="does not match"):
+        SdpProblem(np.eye(2), (np.eye(3),), (1.0,))
+    with pytest.raises(sdp.SdpError, match="at least one constraint"):
+        solve(SdpProblem(np.eye(2)))
+
+
+def test_unit_diagonal_violation_and_with_constraint():
+    """A diagonal row X_pp = 1 is violated on either side, a dense row only
+    above its bound; ``with_constraint`` appends a dense row and keeps the
+    unit diagonal."""
+    problem = SdpProblem(np.eye(3), (np.eye(3),), (2.0,), unit_diagonal=True)
+    assert problem.constraint_violation(np.diag([1.0, 0.6, 0.4])) == (
+        pytest.approx(0.3))
+    assert problem.constraint_violation(np.diag([1.0, 1.0, 1.2])) == (
+        pytest.approx(max(1.2 / 3, 0.2 / 2)))
+    grown = problem.with_constraint(-np.eye(3), -1.0)
+    assert grown.unit_diagonal and grown.b == (2.0, -1.0)
+    assert len(grown.constraints) == 5
 
 
 # -- solver ---------------------------------------------------------------
@@ -65,8 +86,7 @@ def test_greater_or_equal_relation_rejected():
 def test_rank_one_objective_trace_ball(rng):
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     p = 4.0
-    problem = SdpProblem(np.outer(a, a.conj()),
-                         [SdpConstraint(np.eye(3), "<=", p)])
+    problem = SdpProblem(np.outer(a, a.conj()), (np.eye(3),), (p,))
     sol = solve(problem)
     assert sol.status == "optimal"
     norm2 = np.vdot(a, a).real
@@ -76,9 +96,7 @@ def test_rank_one_objective_trace_ball(rng):
 
 
 def test_contradictory_trace_constraints_infeasible():
-    problem = SdpProblem(np.eye(2),
-                         [SdpConstraint(np.eye(2), "<=", 1.0),
-                          SdpConstraint(-np.eye(2), "<=", -2.0)])
+    problem = SdpProblem(np.eye(2), (np.eye(2), -np.eye(2)), (1.0, -2.0))
     sol = solve(problem)
     assert sol.status == "infeasible"
 
@@ -86,9 +104,7 @@ def test_contradictory_trace_constraints_infeasible():
 def test_unit_diagonal_equalities(rng):
     n = 4
     c = _random_hermitian(n, rng)
-    cons = [SdpConstraint(np.outer(np.eye(n)[i], np.eye(n)[i]), "=", 1.0)
-            for i in range(n)]
-    sol = solve(SdpProblem(c, cons))
+    sol = solve(SdpProblem(c, unit_diagonal=True))
     assert sol.status == "optimal"
     np.testing.assert_allclose(np.diag(sol.x).real, 1.0, atol=1e-6)
     assert np.min(np.linalg.eigvalsh(sol.x)) >= -1e-7 * np.trace(sol.x).real
@@ -97,13 +113,11 @@ def test_unit_diagonal_equalities(rng):
 def test_constraint_scaling_invariance(rng):
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    base = [SdpConstraint(np.outer(b, b.conj()), "<=", 0.5),
-            SdpConstraint(np.eye(4), "<=", 2.0)]
-    scaled = [SdpConstraint(37.0 * np.outer(b, b.conj()), "<=", 37.0 * 0.5),
-              SdpConstraint(0.01 * np.eye(4), "<=", 0.01 * 2.0)]
+    bb = np.outer(b, b.conj())
     c = np.outer(a, a.conj())
-    s1 = solve(SdpProblem(c, base))
-    s2 = solve(SdpProblem(c, scaled))
+    s1 = solve(SdpProblem(c, (bb, np.eye(4)), (0.5, 2.0)))
+    s2 = solve(SdpProblem(c, (37.0 * bb, 0.01 * np.eye(4)),
+                          (37.0 * 0.5, 0.01 * 2.0)))
     assert s1.status == s2.status == "optimal"
     assert s2.objective == pytest.approx(s1.objective, rel=1e-5)
     np.testing.assert_allclose(s2.x, s1.x, atol=1e-5 * (1 + abs(s1.objective)))
@@ -117,11 +131,10 @@ def test_tiny_objective_scaled_to_unit_size(scale, rng):
     reported optimum.  At 1e-200 the squares in the norm underflow."""
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    cons = [SdpConstraint(np.outer(b, b.conj()), "<=", 0.5),
-            SdpConstraint(np.eye(4), "<=", 2.0)]
+    cons = ((np.outer(b, b.conj()), np.eye(4)), (0.5, 2.0))
     c = np.outer(a, a.conj())
-    unit = solve(SdpProblem(c, cons))
-    tiny = solve(SdpProblem(scale * c, cons))
+    unit = solve(SdpProblem(c, *cons))
+    tiny = solve(SdpProblem(scale * c, *cons))
     assert unit.status == tiny.status == "optimal"
     np.testing.assert_allclose(tiny.x, unit.x, atol=1e-6)
     assert tiny.objective == pytest.approx(scale * unit.objective, rel=1e-6)
@@ -134,8 +147,7 @@ def test_tiny_homogeneous_constraint_enforced():
     e11 = np.diag([1.0, 0.0])
 
     def solve_with(eps):
-        return solve(SdpProblem(c, [SdpConstraint(np.eye(2), "<=", 1.0),
-                                    SdpConstraint(eps * e11, "<=", 0.0)]))
+        return solve(SdpProblem(c, (np.eye(2), eps * e11), (1.0, 0.0)))
 
     unit, tiny = solve_with(1.0), solve_with(1e-40)
     assert unit.status == tiny.status == "optimal"
@@ -145,8 +157,7 @@ def test_tiny_homogeneous_constraint_enforced():
 
 def test_all_zero_objective_keeps_unit_scale():
     # nothing to optimize: any feasible X is optimal
-    sol = solve(SdpProblem(np.zeros((2, 2)),
-                           [SdpConstraint(np.eye(2), "<=", 1.0)]))
+    sol = solve(SdpProblem(np.zeros((2, 2)), (np.eye(2),), (1.0,)))
     assert sol.status == "optimal"
     assert sol.objective == 0.0
     assert np.trace(sol.x).real <= 1.0 + 1e-6
@@ -156,8 +167,7 @@ def test_solution_certificates(rng):
     a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     problem = SdpProblem(np.outer(a, a.conj()),
-                         [SdpConstraint(np.outer(b, b.conj()), "<=", 1.0),
-                          SdpConstraint(np.eye(5), "<=", 10.0)])
+                         (np.outer(b, b.conj()), np.eye(5)), (1.0, 10.0))
     sol = solve(problem)
     assert sol.status == "optimal"
     assert problem.constraint_violation(sol.x) <= 1e-6 * (1 + sol.objective)
@@ -167,21 +177,11 @@ def test_solution_certificates(rng):
 
 def test_solver_deterministic(rng):
     c = _random_hermitian(4, rng)
-    problem = SdpProblem(c, [SdpConstraint(np.eye(4), "<=", 3.0),
-                             SdpConstraint(_random_psd(4, rng), "<=", 5.0)])
+    problem = SdpProblem(c, (np.eye(4), _random_psd(4, rng)), (3.0, 5.0))
     s1 = solve(problem)
     s2 = solve(problem)
     np.testing.assert_array_equal(s1.x, s2.x)
     assert s1.objective == s2.objective
-
-
-def test_redundant_constraints_report_numerical_failure():
-    # two copies of one equality make the Schur complement exactly singular
-    problem = SdpProblem(np.diag([1.0, 2.0, 0.5]),
-                         [SdpConstraint(np.eye(3), "=", 1.0),
-                          SdpConstraint(np.eye(3), "=", 1.0)])
-    sol = solve(problem)
-    assert sol.status == "numerical-failure"
 
 
 def test_max_iterations_certificate_describes_final_iterate(monkeypatch):
@@ -189,8 +189,7 @@ def test_max_iterations_certificate_describes_final_iterate(monkeypatch):
     a = np.array([1.0, 1j, -1.0, 0.5 - 0.5j])
     b = np.array([0.5, 1.0, 1j, -1.0])
     problem = SdpProblem(np.outer(a.conj(), a),
-                         [SdpConstraint(np.outer(b.conj(), b), "<=", 0.5),
-                          SdpConstraint(np.eye(4), "<=", 2.0)])
+                         (np.outer(b.conj(), b), np.eye(4)), (0.5, 2.0))
     sol = solve(problem)
     assert sol.status == "max-iterations"
     assert sol.iterations == 3
@@ -219,28 +218,28 @@ def test_step_length_reaches_psd_boundary(rng):
 
 def test_schur_complement_blocks_match_dense_reference(rng):
     """The block-built Schur complement equals Re tr(A_i^H X A_j Zinv)
-    entry by entry, with diagonal-entry rows (unit and scaled) mixed in
-    among dense rows: a lone off-diagonal pair, the identity and a dense
-    Hermitian matrix."""
+    entry by entry over the dense rows (a lone off-diagonal pair, a scaled
+    diagonal entry, the identity and a dense Hermitian matrix), followed
+    with ``unit_diagonal`` by the rows e_p e_p^T; also with no dense rows."""
     n = 6
     eye = np.eye(n)
     off = np.zeros((n, n), dtype=complex)
     off[1, 4], off[4, 1] = 2.0 - 1.0j, 2.0 + 1.0j
-    amats = np.stack([np.outer(eye[0], eye[0]), off,
-                      3.0 * np.outer(eye[2], eye[2]), eye,
-                      np.outer(eye[5], eye[5]), _random_hermitian(n, rng),
-                      np.outer(eye[3], eye[3])]).astype(complex)
+    dense = np.stack([off, 3.0 * np.outer(eye[2], eye[2]), eye,
+                      _random_hermitian(n, rng)]).astype(complex)
+    unit = np.stack([np.outer(e, e) for e in eye]).astype(complex)
     x = _random_psd(n, rng) + 0.1 * eye
     zinv = np.linalg.inv(_random_psd(n, rng) + 0.1 * eye)
     zinv = 0.5 * (zinv + zinv.conj().T)
-    schur = _SchurComplement(amats)
-    # only the four diagonal-entry rows skip the dense products
-    assert schur.dense.shape[0] == 3
-    np.testing.assert_array_equal(schur.d, [1.0, 3.0, 1.0, 1.0])
-    reference = np.array([[np.trace(ai.conj().T @ x @ aj @ zinv).real
-                           for aj in amats] for ai in amats])
-    got = schur(x, zinv)
-    assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+    for amats, unit_diagonal in ((dense, False), (dense, True),
+                                 (dense[:0], True)):
+        rows = np.concatenate([amats, unit]) if unit_diagonal else amats
+        reference = np.array([[np.trace(ai.conj().T @ x @ aj @ zinv).real
+                               for aj in rows] for ai in rows])
+        aconj_flat = amats.conj().reshape(len(amats), n * n)
+        got = _schur_complement(x, zinv, amats, aconj_flat, unit_diagonal)
+        assert got.shape == reference.shape
+        assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_unit_scale_edge_cases(rng):
@@ -270,7 +269,7 @@ def test_overflowing_norm_scales_by_largest_entry():
     c = np.diag([1e200, 2e200]).astype(complex)
     assert _unit_scale(c) == 2e200
     assert _unit_scale(1e200 * np.eye(2), 3e200) == 3e200
-    sol = solve(SdpProblem(c, [SdpConstraint(np.eye(2), "<=", 1.0)]))
+    sol = solve(SdpProblem(c, (np.eye(2),), (1.0,)))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2e200, rel=1e-6)
     np.testing.assert_allclose(sol.x, np.diag([0.0, 1.0]), atol=1e-6)

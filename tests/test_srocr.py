@@ -4,9 +4,10 @@ import pytest
 from ris_crn.channels import generate_channels
 from ris_crn.metrics import DesignState
 from ris_crn.optimizer import build_phase_problem, build_ws_problem
-from ris_crn.sdp import SdpConstraint, SdpProblem, principal_eigpair, solve
-from ris_crn.srocr import (RankOneResult, SrocrError, extract_vector,
-                           _ratio_eigpair, randomize_phases, refine)
+from ris_crn.sdp import SdpProblem, principal_eigpair, solve
+from ris_crn.srocr import (N_RANDOMIZATIONS, RankOneResult, SrocrError,
+                           extract_vector, _ratio_eigpair, randomize_phases,
+                           refine)
 
 
 def test_ratio_rank_one(rng):
@@ -30,8 +31,7 @@ def test_ratio_rejects_zero_trace():
 
 def test_refine_noop_when_already_rank_one(rng):
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    problem = SdpProblem(np.outer(a, a.conj()),
-                         [SdpConstraint(np.eye(3), "<=", 2.0)])
+    problem = SdpProblem(np.outer(a, a.conj()), (np.eye(3),), (2.0,))
     relaxed = solve(problem)
     out = refine(problem, relaxed)
     assert out.iterations == 0
@@ -40,8 +40,7 @@ def test_refine_noop_when_already_rank_one(rng):
 
 
 def test_refine_requires_optimal_input(rng):
-    problem = SdpProblem(np.eye(2), [SdpConstraint(np.eye(2), "<=", 1.0),
-                                     SdpConstraint(-np.eye(2), "<=", -2.0)])
+    problem = SdpProblem(np.eye(2), (np.eye(2), -np.eye(2)), (1.0, -2.0))
     relaxed = solve(problem)
     with pytest.raises(SrocrError):
         refine(problem, relaxed)
@@ -175,3 +174,36 @@ def test_randomization_tight_cap_still_returns_unit_modulus(iid_scenario, rng):
     x = randomize_phases(problem, relaxed.x, rng)
     np.testing.assert_allclose(np.abs(x), 1.0, rtol=1e-12)
     assert x[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+class _FixedDraws:
+    """Generator stub whose standard normal draws are fixed arrays, handed
+    out in order: the real parts, then the imaginary parts."""
+
+    def __init__(self, *parts):
+        self.parts = list(parts)
+
+    def standard_normal(self, size):
+        part = self.parts.pop(0)
+        assert part.shape == size
+        return part
+
+
+def test_randomization_draws_from_relaxed_covariance():
+    """X = [[1, rho e^{j phi}], [rho e^{-j phi}, 1]] puts the relative phase
+    theta of the draws around phi, and a band constraint keeps only theta in
+    [phi + 0.1, phi + 0.5]: the principal eigenvector (theta = phi) is cut
+    off, draws from CN(0, X) reach the band and draws from CN(0, conj X),
+    around -phi, do not."""
+    phi, psi, half_width, rho = 1.5, 1.8, 0.2, 0.9
+    x_relaxed = np.array([[1.0, rho * np.exp(1j * phi)],
+                          [rho * np.exp(-1j * phi), 1.0]])
+    band = np.array([[0.0, np.exp(1j * psi)], [np.exp(-1j * psi), 0.0]])
+    # x^H band x = 2 cos(theta - psi) >= 2 cos(half_width)
+    problem = SdpProblem(x_relaxed, (-band,), (-2.0 * np.cos(half_width),),
+                         unit_diagonal=True)
+    draws = np.random.default_rng(0).standard_normal((2, N_RANDOMIZATIONS, 2))
+    x = randomize_phases(problem, x_relaxed, _FixedDraws(*draws))
+    assert problem.constraint_violation(np.outer(x, x.conj())) <= 1e-8
+    theta = np.angle(x[0] * np.conj(x[1]))
+    assert phi + 0.1 <= theta <= phi + 0.5
