@@ -78,8 +78,13 @@ def sweep(spec, scenario, out_path, seed, workers):
     try:
         run_sweep(spec, scenario or paper_default(), out_path=out_path,
                   workers=workers)
-    except TrialError:
-        raise
+    except TrialError as exc:
+        # e.g. a PBS->PU path loss that underflows: a usage error, as in
+        # ``solve``; the spec's overrides share in making the scenario
+        if not isinstance(exc.cause, ChannelError):
+            raise
+        raise click.BadParameter(
+            str(exc), param_hint=["--scenario", "--spec"]) from exc
     except SweepError as exc:   # the spec gives no valid scenario
         raise click.BadParameter(str(exc), param_hint="--spec") from exc
     click.echo(f"wrote {out_path}")

@@ -34,7 +34,12 @@ class SweepError(ValueError):
 
 
 class TrialError(SweepError):
-    """A trial that raised; the message names its cell."""
+    """A trial that raised: the message names its cell, and ``cause`` is
+    the trial's exception, which a worker pool drops from ``__cause__``."""
+
+    def __init__(self, message: str, cause: Exception | None = None):
+        super().__init__(message)
+        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,8 @@ def _trial_task(args):
         return run_trial(scenario, method, seed, fixed_tilt)
     except Exception as exc:
         raise TrialError(f"trial failed at grid_value {grid_value}, "
-                         f"method {method!r}, seed {seed}: {exc}") from exc
+                         f"method {method!r}, seed {seed}: {exc}",
+                         exc) from exc
 
 
 def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,

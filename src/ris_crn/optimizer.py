@@ -7,11 +7,14 @@ relaxation (the last solve is reused while that relaxation stays
 byte-equal, as it can even after the phases move), and the phase step,
 which co-phases every reflected path with the direct one: the global
 optimum whenever it keeps the interference cap C1.  Only where it does not
-does the phase step run a relaxation with sequential rank-one recovery
-(SROCR): an SDP whose one dense row is C1 and whose unit-modulus entries
-are the solver's implicit unit diagonal.  Every accepted iterate is
-feasible and the spectral-efficiency trace is non-decreasing by
-construction: a recovered candidate that would lower the objective is
+does the phase step solve a relaxation: an SDP whose one dense row is C1
+and whose unit-modulus entries are the solver's implicit unit diagonal.
+Its principal eigenvector, projected to unit modulus, is taken when it
+keeps C1 and reaches the relaxation's bound (a certified global optimum);
+otherwise sequential rank-one constraint relaxation (SROCR) recovers the
+phases, and Gaussian randomization where SROCR stalls.  Every accepted
+iterate is feasible and the spectral-efficiency trace is non-decreasing
+by construction: a recovered candidate that would lower the objective is
 discarded in favor of the previous iterate.
 """
 
@@ -172,14 +175,36 @@ def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
     return np.angle(c) - np.angle(channels.u.conj() * (channels.G @ w))
 
 
+def _sdr_gap(problem: sdp.SdpProblem, bound: float,
+             phases: np.ndarray) -> tuple[float, np.ndarray]:
+    """How far the phases fall short of the relaxation's bound tr(H1 X),
+    (tr(H1 X) - x^H H1 x) / |tr(H1 X)|, and the x = [e^{j phases}; 1] it
+    is taken at."""
+    x = np.append(np.exp(1j * phases), 1.0)
+    value = float(np.vdot(x, problem.c @ x).real)
+    return (bound - value) / max(abs(bound), np.finfo(float).tiny), x
+
+
 def _solve_phases(state: DesignState, channels: ChannelSet,
                   scenario: Scenario, rng: np.random.Generator,
                   diag: dict) -> np.ndarray:
-    """Phase step.  The co-phased profile maximizes |a(alpha) w|^2 over all
-    unit-modulus profiles, so when it satisfies C1 it is the subproblem's
-    global optimum and no SDP is built.  Only when it violates C1 does the
-    step fall back to SDR with SROCR, or Gaussian randomization when the
-    SROCR schedule stalls."""
+    """Phase step: the first of these recoveries that applies.
+
+    1. Co-phase: the co-phased profile maximizes |a(alpha) w|^2 over all
+       unit-modulus profiles, so when it keeps C1 it is the subproblem's
+       global optimum and no SDP is built.
+    2. Certified projection: the principal eigenvector of the relaxed X,
+       projected to unit modulus with its last entry 1, when it keeps C1
+       with no slack and reaches the bound tr(H1 X) within sdp.TOL.  A
+       feasible rank-one point at a relaxation's bound solves the
+       subproblem (Huang & Palomar, IEEE TSP 2010; Wu & Zhang, IEEE TWC
+       2019).
+    3. SROCR, from that same eigenpair.
+    4. Gaussian randomization, where the SROCR schedule stalls.
+
+    ``phase_sdr_gap`` is the relative gap to tr(H1 X) of the phases taken,
+    on every step that solved the relaxation.
+    """
     cophased = cophased_phases(state, channels)
     if (pu_interference(state.with_phases(cophased), channels, scenario)
             <= scenario.gamma_w):
@@ -190,16 +215,27 @@ def _solve_phases(state: DesignState, channels: ChannelSet,
     diag["phase_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
         return state.phases
-    result = srocr.refine(problem, relaxed, unit_modulus=True)
-    diag["phase_srocr_ratio"] = result.ratio
-    diag["phase_srocr_iters"] = result.iterations
-    if result.feasible:
-        x = srocr.extract_vector(result, "phases")
-        diag["phase_recovery"] = "srocr"
+    eigpair = sdp.principal_eigpair(relaxed.x)
+    unit = srocr.project_unit_modulus(eigpair[1])
+    phases = np.angle(unit[:-1] * unit[-1].conj())
+    gap, x = _sdr_gap(problem, relaxed.objective, phases)
+    if gap <= sdp.TOL and np.vdot(x, problem.a[0] @ x).real <= problem.b[0]:
+        diag["phase_recovery"] = "certified"
     else:
-        x = srocr.randomize_phases(problem, relaxed.x, rng)
-        diag["phase_recovery"] = "randomization"
-    return np.angle(x[:-1])
+        result = srocr.refine(problem, relaxed, unit_modulus=True,
+                              eigpair=eigpair)
+        diag["phase_srocr_ratio"] = result.ratio
+        diag["phase_srocr_iters"] = result.iterations
+        if result.feasible:
+            x = srocr.extract_vector(result, "phases")
+            diag["phase_recovery"] = "srocr"
+        else:
+            x = srocr.randomize_phases(problem, relaxed.x, rng)
+            diag["phase_recovery"] = "randomization"
+        phases = np.angle(x[:-1])
+        gap, _ = _sdr_gap(problem, relaxed.objective, phases)
+    diag["phase_sdr_gap"] = gap
+    return phases
 
 
 def run_algorithm1(channels: ChannelSet, scenario: Scenario,

@@ -10,7 +10,9 @@ feasible; the optimizer then scales the beamformer down to meet the
 interference cap.
 
 The optimizer runs it only on phase steps where co-phasing violates the
-interference cap; its beamformer relaxation is tight and needs no recovery.
+interference cap and the unit-modulus projection of the relaxed solution's
+principal eigenvector is not certified optimal; its beamformer relaxation
+is tight and needs no recovery.
 """
 
 from __future__ import annotations
@@ -44,14 +46,23 @@ class RankOneResult:
     objective: float
 
 
-def _ratio_eigpair(x: np.ndarray) -> tuple[float, float, np.ndarray]:
+def _ratio_eigpair(x: np.ndarray,
+                   eigpair=None) -> tuple[float, float, np.ndarray]:
     """lambda_1 / tr as a rank-one progress measure, in [1/n, 1], with the
-    principal eigenpair it is computed from."""
+    principal eigenpair it is computed from (``eigpair``, when given, is
+    ``sdp.principal_eigpair(x)``)."""
     tr = float(np.trace(x).real)
     if tr <= 0:
         raise SrocrError(f"trace must be > 0, got {tr}")
-    lam, q = sdp.principal_eigpair(x)
+    lam, q = sdp.principal_eigpair(x) if eigpair is None else eigpair
     return min(lam / tr, 1.0), lam, q
+
+
+def project_unit_modulus(q: np.ndarray) -> np.ndarray:
+    """Every entry of q projected onto the unit circle; a (near) zero entry,
+    which has no phase to keep, becomes 1."""
+    mod = np.abs(q)
+    return np.where(mod > 1e-12, q / np.maximum(mod, 1e-300), 1.0)
 
 
 def _align_direction(q: np.ndarray, unit_modulus: bool) -> np.ndarray:
@@ -66,22 +77,20 @@ def _align_direction(q: np.ndarray, unit_modulus: bool) -> np.ndarray:
     """
     if not unit_modulus:
         return q
-    n = q.size
-    mod = np.abs(q)
-    unit = np.where(mod > 1e-12, q / np.maximum(mod, 1e-300), 1.0)
-    return unit / np.sqrt(n)
+    return project_unit_modulus(q) / np.sqrt(q.size)
 
 
 def refine(problem: SdpProblem, relaxed: SdpSolution,
-           unit_modulus: bool = False) -> RankOneResult:
-    """Tighten the relaxed solution toward rank one."""
+           unit_modulus: bool = False, eigpair=None) -> RankOneResult:
+    """Tighten the relaxed solution toward rank one.  ``eigpair`` is the
+    relaxed X's ``sdp.principal_eigpair``, when the caller already has it."""
     if relaxed.status != "optimal":
         raise SrocrError(f"relaxed solution status is {relaxed.status}")
 
     # x is the last accepted solution; its eigenpair serves both the next
     # round's alignment and the final extraction
     x, objective = relaxed.x, relaxed.objective
-    ratio, lam, q = _ratio_eigpair(x)
+    ratio, lam, q = _ratio_eigpair(x, eigpair)
     w = ratio
     delta = DELTA_INIT
     n = problem.dim

@@ -1,7 +1,7 @@
 """What the benchmark in perfbench/ needs from the package.
 
-The benchmark compares the SE of fixed reference instances with
-perfbench/reference.json, wraps the entry points listed in
+The benchmark compares the SE of fixed reference instances, and the mean
+SE of a run's whole instance set, with perfbench/reference.json, wraps the entry points listed in
 perfbench/spans.PATCHES, reads the keywords of run_trial's run_algorithm1
 calls to time only the proposed method, and keys its per-layer metrics by
 fields of the wrapped calls' arguments and results.  A change that moves
@@ -10,6 +10,7 @@ benchmark run does.  These tests only read perfbench/.
 """
 
 import importlib
+import json
 from collections import defaultdict
 from pathlib import Path
 
@@ -21,6 +22,9 @@ from ris_crn.optimizer import run_algorithm1
 from ris_crn.scenario import apply_overrides
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCHMARKED = ("solve-pathloss", "sweep-tilt")
+STORED_MEAN_SE = json.loads((PERFBENCH / "reference.json").read_text())[
+    "mean_se_bps_hz"]
 # set by perfbench/env.py on import; restored after this module's tests
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -35,12 +39,60 @@ def perfbench():
                importlib.import_module("spans"))
 
 
-@pytest.mark.parametrize("name", ["solve-pathloss", "sweep-tilt"])
+@pytest.mark.parametrize("name", BENCHMARKED)
 def test_reference_se_reproduced(perfbench, name):
     workloads, _ = perfbench
     wl = workloads.WORKLOADS[name]
     values = workloads.reference_values(wl, wl.scenario())
     assert workloads.check_reference(wl, values) == []
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """Results by call, shared across the instance sets below: a shorter
+    run's instances are the first ones of a longer run's."""
+    return {}
+
+
+@pytest.mark.parametrize("name,size", [
+    (name, int(size)) for name in BENCHMARKED for size in STORED_MEAN_SE[name]])
+def test_stored_mean_se_reproduced(perfbench, solved, monkeypatch, name,
+                                   size):
+    """Rebuild the instance set of every run size with a stored mean SE
+    and solve it as a benchmark round does, at one worker: its mean SE
+    must match reference.json within the benchmark's rtol, and every
+    result must pass the benchmark's checks."""
+    workloads, _ = perfbench
+    wl = workloads.WORKLOADS[name]
+    seconds = size / wl.per_second
+    assert wl.size(seconds) == size
+
+    def memoize(module, attr, key):
+        real = getattr(module, attr)
+
+        def call(*args, **kwargs):
+            k = (name, key(*args, **kwargs))
+            if k not in solved:
+                solved[k] = real(*args, **kwargs)
+            return solved[k]
+        monkeypatch.setattr(module, attr, call)
+
+    tally = workloads.Tally()
+    meter = workloads.Speedometer(active=False)
+    if wl.kind == "solve":
+        memoize(workloads.optimizer, "run_algorithm1",
+                lambda chans, scen, seed: seed)
+        passes = [workloads.solve_pass(wl.scenario(), seeds, tally, meter)
+                  for seeds in wl.rounds(seconds, seed=0)]
+    else:
+        memoize(experiments, "run_trial",
+                lambda scen, method, seed, tilt: (method, seed, tilt))
+        passes = [workloads.sweep_pass(spec, tally, meter, record=True)
+                  for spec in wl.rounds(seconds, seed=0)]
+    assert tally.problems == [] and tally.failed == 0
+    assert tally.attempted == wl.tasks(seconds)
+    mean_se = workloads.workload_mean_se(wl, passes)
+    assert workloads.check_mean_se(wl, size, mean_se) == []
 
 
 def test_span_patch_targets_resolve(perfbench):
@@ -68,31 +120,35 @@ def test_run_trial_passes_solver_keywords(small_iid_scenario, monkeypatch):
 
 
 def test_span_annotations_of_one_trial(perfbench, iid_scenario):
-    """Every field the span recorder reads, on the -30 deg iid trial that
+    """Every field the span recorder reads, on a -30 deg iid trial that
     runs all three SDP shapes: (dim, #constraints) keys of the beamformer,
     phase and SROCR SDPs, the status and IPM iterations of each solve,
     refine's rounds and rank-one flag, and run_algorithm1's outer
-    iterations, tilt branch and phase-recovery diagnostics."""
+    iterations, tilt branch and phase-recovery diagnostics.  Its first
+    phase step runs SROCR; every later one takes the certified
+    projection."""
     _, spans = perfbench
     sc = apply_overrides(iid_scenario, {"n_s": 4})
     tracer = spans.Tracer()
     with tracer.installed():
-        experiments.run_trial(sc, "proposed", seed=0, fixed_tilt_deg=-30.0)
+        experiments.run_trial(sc, "proposed", seed=1, fixed_tilt_deg=-30.0)
     notes = defaultdict(list)
     for name, _, _, _, _, note in tracer.spans:
         if note is not None:
             notes[name].append(note)
     solves = notes["sdp.solve"]
-    assert [n["key"] for n in solves] == ["d4m2", "d21m22", "d21m23"] * 4
+    assert [n["key"] for n in solves] == (["d4m2", "d21m22", "d21m23"]
+                                          + ["d4m2", "d21m22"] * 6)
     assert {n["key"] for n in solves} <= set(spans.SDP_KEYS)
-    assert [n["status"] for n in solves] == ["optimal"] * 12
-    assert [n["iters"] for n in solves] == [8, 11, 13, 12, 11, 14,
-                                            11, 10, 13, 10, 10, 13]
+    assert [n["status"] for n in solves] == ["optimal"] * 15
+    assert [n["iters"] for n in solves] == [8, 10, 13, 10, 11, 10, 10, 10,
+                                            10, 11, 10, 12, 10, 13, 10]
     assert sum(n["warnings"] for n in solves) == 0
-    assert notes["srocr.refine"] == [{"rounds": 1, "feasible": True}] * 4
+    assert notes["srocr.refine"] == [{"rounds": 1, "feasible": True}]
     assert notes["optimizer.run_algorithm1"] == [
-        {"outer": 4, "branch": "fixed", "randomized": 0}]
+        {"outer": 7, "branch": "fixed", "randomized": 0}]
 
-    result = run_algorithm1(generate_channels(sc, seed=0), sc, seed=0,
+    result = run_algorithm1(generate_channels(sc, seed=1), sc, seed=1,
                             fixed_tilt_deg=-30.0)
-    assert [d["phase_recovery"] for d in result.diagnostics] == ["srocr"] * 4
+    assert [d["phase_recovery"] for d in result.diagnostics] == (
+        ["srocr"] + ["certified"] * 6)

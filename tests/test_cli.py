@@ -159,3 +159,23 @@ def test_zero_pbs_to_pu_channel_is_usage_error(runner, tmp_path, changes):
     assert result.exit_code == 2
     assert "--scenario" in result.output and "h_p is zero" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_on_zero_pbs_to_pu_channel_is_usage_error(runner, tmp_path,
+                                                        workers):
+    """The sweep reports the underflowing PBS->PU channel as solve does, also
+    when the trial ran in a worker process."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scenario_to_dict(apply_overrides(
+        paper_default(), {"channel": {"zeta0_db": -4000.0}}))))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec_doc()))
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["sweep", "--spec", str(spec),
+                                  "--scenario", str(scenario),
+                                  "--out", str(out), "--workers", workers])
+    assert result.exit_code == 2
+    assert "--scenario" in result.output and "h_p is zero" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()

@@ -334,9 +334,11 @@ def test_tilt_sweep_matches_golden_csv(iid_scenario):
     solver stopped repeating solves whose answer is already known (far-tilt
     SROCR rounds, failed SROCR rounds, beamformer steps with unchanged
     phases).  Skipping them must not change a single digit.  The -30 deg
-    proposed cell was re-recorded once, when the phase SDP's X_pp = 1 rows
-    left the dense constraint stack: its mean moved by 6.6e-13 and its std
-    by 1.6e-10, relative."""
+    proposed cell was re-recorded twice: when the phase SDP's X_pp = 1 rows
+    left the dense constraint stack (mean +6.6e-13, std +1.6e-10,
+    relative), and when C1-binding phase steps began to take the certified
+    projection of the relaxation in place of SROCR (mean +1.04e-6, std
+    +9.6e-5)."""
     spec = SweepSpec(kind="tilt",
                      grid=(-180.0, -150.0, -120.0, -90.0, -60.0, -30.0, 0.0),
                      trials=2, base_seed=0,
