@@ -2,17 +2,19 @@
 
 Three sweep kinds are supported: ``tilt`` (grid of fixed tilt angles),
 ``elements`` (grid of RIS sizes) and ``power`` (grid of transmit power
-budgets).  Each (grid value, trial) cell draws one channel realization and
-evaluates every requested method on it, so method comparisons are paired.
+budgets).  Each (grid value, method, trial) task draws its own channel
+realization from the trial's seed, so every method of a (grid value,
+trial) cell sees the same channels and method comparisons are paired.
 Trials are embarrassingly parallel; their results come back in task order
 at any worker count, so the CSV is bitwise-identical across worker counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,7 +37,8 @@ class SweepError(ValueError):
 
 class TrialError(SweepError):
     """A trial that raised: the message names its cell, and ``cause`` is
-    the trial's exception, which a worker pool drops from ``__cause__``."""
+    the trial's exception, which pickling drops from ``__cause__`` when the
+    trial ran in a worker process."""
 
     def __init__(self, message: str, cause: Exception | None = None):
         super().__init__(message)
@@ -171,14 +174,92 @@ def _trial_task(args):
                          exc) from exc
 
 
+def _work(tasks: list, counter) -> list:
+    """Run the tasks this worker claims from the shared counter, as
+    (index, result) pairs."""
+    done = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value += 1
+        if index >= len(tasks):
+            return done
+        done.append((index, _trial_task(tasks[index])))
+
+
+def _child(tasks: list, counter, conn):
+    """A worker process: send its (index, result) list over its own pipe,
+    or the exception one of its tasks raised, after moving the counter
+    past the end so that every worker stops claiming."""
+    try:
+        out = _work(tasks, counter)
+    except Exception as exc:
+        counter.value = len(tasks)
+        out = exc
+    conn.send(out)
+    conn.close()
+
+
+def _run_tasks(tasks: list, workers: int) -> list:
+    """Every task's result, in task order.
+
+    The calling process is one of the workers; the other
+    ``min(workers, len(tasks)) - 1`` are forked children, so they start
+    with the task list and every import already in memory (a spawned child
+    would import numpy and scipy again, which takes longer than a whole
+    path-loss sweep of 20 trials).  All workers claim task indices from
+    one shared counter.  A task's exception, the caller's own or else the
+    first child's in start order, is raised once every child has exited;
+    a child that exits without sending its results is a ``SweepError``.
+    No child outlives the call.
+    """
+    n_children = min(workers, len(tasks)) - 1
+    if n_children == 0:
+        return [_trial_task(task) for task in tasks]
+    fork = multiprocessing.get_context("fork")
+    counter = fork.Value("q", 0)
+    pipes, children = [], []
+    try:
+        for _ in range(n_children):
+            recv, send = fork.Pipe(duplex=False)
+            pipes.append(recv)
+            with send:      # the child holds its own copy
+                child = fork.Process(target=_child,
+                                     args=(tasks, counter, send))
+                child.start()
+            children.append(child)
+        done = _work(tasks, counter)
+        for recv in pipes:
+            try:
+                out = recv.recv()
+            except EOFError:
+                raise SweepError("a sweep worker process exited without "
+                                 "sending its results") from None
+            if isinstance(out, BaseException):
+                raise out
+            done += out
+    finally:
+        counter.value = len(tasks)      # no-op unless the caller raised
+        for recv in pipes:      # a child blocks until its result is read
+            with contextlib.suppress(EOFError):
+                recv.recv()
+            recv.close()
+        for child in children:
+            child.join()
+    return [result for _, result in sorted(done, key=lambda d: d[0])]
+
+
 def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
               workers: int = 1) -> SweepResult:
-    """Run all (grid value, method, trial) cells and aggregate.
+    """Run all (grid value, method, trial) tasks and aggregate.
 
-    Every grid value's scenario is built before any trial runs.  Results
-    come back in task order (grid value, then method, then trial) at any
-    worker count, so the CSV does not depend on scheduling.  ``workers``
-    must be an integer >= 1 (not a bool).
+    Every grid value's scenario is built before any trial runs.  With
+    ``workers`` > 1 the calling process runs trials too, beside
+    ``min(workers, #tasks) - 1`` forked worker processes; all of them take
+    the next unclaimed task until none is left, and no worker process
+    outlives the call.  Results come back in task order (grid value, then
+    method, then trial) at any worker count, so the CSV does not depend on
+    scheduling.  ``workers`` must be an integer >= 1 (not a bool).
     """
     if not _is_integer(workers) or workers < 1:
         raise SweepError(f"workers must be an integer >= 1, got {workers!r}")
@@ -198,13 +279,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
                    fixed_tilt)
                   for method in spec.methods for t in range(spec.trials)]
 
-    if workers > 1:
-        # a fork-based pool starts all its workers at once, so a pool
-        # larger than the task list only forks idle processes
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            trials = list(pool.map(_trial_task, tasks))
-    else:
-        trials = [_trial_task(task) for task in tasks]
+    trials = _run_tasks(tasks, workers)
 
     rows = []
     for k, (grid_value, method) in enumerate(

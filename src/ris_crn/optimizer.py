@@ -2,12 +2,15 @@
 
 The loop fixes the tilt first (pointing at the RIS when the expected
 reflected power beats the expected direct power), then alternates between
-the beamformer step, the principal eigenvector of its tight semidefinite
-relaxation (the last solve is reused while that relaxation stays
-byte-equal, as it can even after the phases move), and the phase step,
-which co-phases every reflected path with the direct one: the global
-optimum whenever it keeps the interference cap C1.  Only where it does not
-does the phase step solve a relaxation: an SDP whose one dense row is C1
+the beamformer step and the phase step.  An outer iteration in which the
+interference cap C1 binds at neither block is solved in closed form:
+maximum-ratio transmission (MRT) at full power, then the phase profile that
+co-phases every reflected path with the direct one, each the global optimum
+of its step while it keeps C1.  Every other iteration takes the principal
+eigenvector of the beamformer's tight semidefinite relaxation (the last
+solve is reused while that relaxation stays byte-equal), then the same
+co-phased profile where it keeps C1.  Only where it does not does the phase
+step solve a relaxation: an SDP whose one dense row is C1
 and whose unit-modulus entries are the solver's implicit unit diagonal.
 Its principal eigenvector, projected to unit modulus, is taken when it
 keeps C1 and reaches the relaxation's bound (a certified global optimum);
@@ -162,6 +165,40 @@ def _solve_ws(problem: sdp.SdpProblem, diag: dict) -> np.ndarray | None:
     return np.sqrt(max(lam, 0.0)) * q
 
 
+def _mrt(a: np.ndarray, p_max_w: float) -> np.ndarray | None:
+    """Maximum-ratio transmission at full power, sqrt(P) a^H / ||a||, or
+    None for a zero row.  The row is scaled by its largest entry first, so
+    the norm neither underflows nor overflows far off boresight."""
+    peak = np.max(np.abs(a), initial=0.0)
+    if peak == 0.0:
+        return None
+    unit = a.conj() / peak
+    return np.sqrt(p_max_w) * unit / np.linalg.norm(unit)
+
+
+def _closed_form_step(state: DesignState, channels: ChannelSet,
+                      scenario: Scenario, update_phases: bool):
+    """(beamformer, phases) of an outer iteration in which C1 binds at
+    neither block, or None.
+
+    MRT maximizes |a w|^2 over ||w||^2 <= P, so when it keeps C1 under the
+    current phases it is the beamformer step's optimum (the C1-slack case
+    of Zhang & Liang, IEEE JSTSP 2008), and the co-phased profile for it is
+    the phase step's optimum when that keeps C1 too (see _solve_phases).
+    The phases are None when they are frozen.
+    """
+    w = _mrt(effective_su_row(state, channels, scenario), scenario.p_max_w)
+    if w is None:
+        return None
+    state = state.with_beamformer(w)
+    if pu_interference(state, channels, scenario) > scenario.gamma_w:
+        return None
+    if not update_phases:
+        return w, None
+    phases = _cophased_within_cap(state, channels, scenario)
+    return None if phases is None else (w, phases)
+
+
 def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
     """Phases that add every reflected path in phase with the direct one:
     alpha_n = arg(h_s^H w) - arg(conj(u_n) (G w)_n).
@@ -173,6 +210,17 @@ def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
     w = state.w_s
     c = np.vdot(channels.h_s, w)
     return np.angle(c) - np.angle(channels.u.conj() * (channels.G @ w))
+
+
+def _cophased_within_cap(state: DesignState, channels: ChannelSet,
+                         scenario: Scenario) -> np.ndarray | None:
+    """The co-phased profile for the state's beamformer when it keeps C1,
+    else None."""
+    phases = cophased_phases(state, channels)
+    if (pu_interference(state.with_phases(phases), channels, scenario)
+            <= scenario.gamma_w):
+        return phases
+    return None
 
 
 def _sdr_gap(problem: sdp.SdpProblem, bound: float,
@@ -205,9 +253,8 @@ def _solve_phases(state: DesignState, channels: ChannelSet,
     ``phase_sdr_gap`` is the relative gap to tr(H1 X) of the phases taken,
     on every step that solved the relaxation.
     """
-    cophased = cophased_phases(state, channels)
-    if (pu_interference(state.with_phases(cophased), channels, scenario)
-            <= scenario.gamma_w):
+    cophased = _cophased_within_cap(state, channels, scenario)
+    if cophased is not None:
         diag["phase_recovery"] = "cophase"
         return cophased
     problem, _, _ = build_phase_problem(state, channels, scenario)
@@ -303,25 +350,36 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     # The beamformer SDP differs between steps only in its objective and C1
     # matrices (tilt, channels, P and Gamma are fixed within a call), so a
     # step whose two matrices are byte-equal to those of the last solve
-    # reuses that solve's result and diagnostics.  Equal phases give equal
-    # matrices, and so can moved ones: at far off-boresight tilts the
-    # reflected path sits below an ulp of the direct one.
+    # reuses that solve's result and diagnostics, as every step after the
+    # first does while the phases are frozen.
     ws_key, ws_step, ws_diag = None, None, {}
+    update_phases = update_phases and scenario.n_ris > 0
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
-        problem = build_ws_problem(state, channels, scenario)
-        key = problem.c.tobytes() + problem.a[0].tobytes()
-        reused = key == ws_key
-        if not reused:
-            ws_key, ws_diag = key, {}
-            ws_step = _solve_ws(problem, ws_diag)
-        diag.update(ws_diag, ws_reused=reused)
-        state, se_now = accept(state.with_beamformer(
-            state.w_s if ws_step is None else ws_step), state, se_now)
-        if update_phases and scenario.n_ris > 0:
-            state, se_now = accept(state.with_phases(
-                _solve_phases(state, channels, scenario, fallback_rng, diag)),
-                state, se_now)
+        closed = _closed_form_step(state, channels, scenario, update_phases)
+        if closed is not None:
+            w, phases = closed
+            diag["ws_step"] = "mrt"
+            state, se_now = accept(state.with_beamformer(w), state, se_now)
+            if update_phases:
+                diag["phase_recovery"] = "cophase"
+                state, se_now = accept(state.with_phases(phases), state,
+                                       se_now)
+        else:
+            diag["ws_step"] = "sdp"
+            problem = build_ws_problem(state, channels, scenario)
+            key = problem.c.tobytes() + problem.a[0].tobytes()
+            reused = key == ws_key
+            if not reused:
+                ws_key, ws_diag = key, {}
+                ws_step = _solve_ws(problem, ws_diag)
+            diag.update(ws_diag, ws_reused=reused)
+            state, se_now = accept(state.with_beamformer(
+                state.w_s if ws_step is None else ws_step), state, se_now)
+            if update_phases:
+                state, se_now = accept(state.with_phases(_solve_phases(
+                    state, channels, scenario, fallback_rng, diag)),
+                    state, se_now)
         se_trace.append(se_now)
         diag["se"] = se_now
         diagnostics.append(diag)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import time
 import warnings
 from pathlib import Path
 
@@ -8,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ris_crn import experiments as exp
 from ris_crn.channels import generate_channels, pbs_beamformer
 from ris_crn.experiments import (CSV_COLUMNS, METHODS, SweepError, SweepSpec,
-                                 load_sweep_spec, run_sweep, run_trial,
-                                 sweepspec_from_dict)
+                                 TrialError, TrialResult, load_sweep_spec,
+                                 run_sweep, run_trial, sweepspec_from_dict)
 from ris_crn.metrics import se_su
 from ris_crn.scenario import apply_overrides
 
@@ -212,32 +216,83 @@ def test_run_sweep_worker_count_invariance(iid_scenario, tmp_path):
 
 
 def test_pool_no_larger_than_task_list(small_iid_scenario, monkeypatch):
-    """A fork-based pool starts every worker up front, so run_sweep sizes
-    it to the task count; the CSV does not depend on the pool size."""
-    import ris_crn.experiments as exp
-    sizes = []
+    """The calling process is one of the workers, so run_sweep starts
+    min(workers, #tasks) - 1 worker processes; the CSV does not depend on
+    how many."""
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
 
-    class InlinePool:   # records its size and starts no process
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_start(process):
+        started.append(process)
+        real_start(process)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        counting_start)
     one = SweepSpec(kind="power", grid=(0.0,), trials=1, methods=("no_ris",))
     three = SweepSpec(kind="power", grid=(0.0,), trials=3, methods=("no_ris",))
-    csv = run_sweep(one, small_iid_scenario).to_csv()
-    assert run_sweep(one, small_iid_scenario, workers=64).to_csv() == csv
-    run_sweep(three, small_iid_scenario, workers=2)
-    run_sweep(three, small_iid_scenario, workers=8)
-    assert sizes == [1, 2, 3]
+    counts = []
+    for spec, workers in ((one, 1), (one, 64), (three, 1), (three, 2),
+                          (three, 8)):
+        started.clear()
+        counts.append((run_sweep(spec, small_iid_scenario,
+                                 workers=workers).to_csv(), len(started)))
+        assert not any(p.is_alive() for p in started)
+    assert [n for _, n in counts] == [0, 0, 0, 1, 2]
+    assert len({csv for csv, _ in counts[:2]}) == 1
+    assert len({csv for csv, _ in counts[2:]}) == 1
+
+
+def _in_children(action, monkeypatch):
+    """Make every trial run ``action`` in a worker process and return a
+    dummy result in the calling one, after a pause on its first trial that
+    lets every worker process claim a trial first."""
+    parent = os.getpid()
+    paused = []
+
+    def run_trial(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        if not paused:
+            paused.append(True)
+            time.sleep(0.3)
+        return TrialResult(1.0, 1, True)
+
+    monkeypatch.setattr(exp, "run_trial", run_trial)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_trial_raising_in_child_names_cell(workers, iid_scenario,
+                                           monkeypatch):
+    def boom():
+        raise RuntimeError("synthetic failure")
+
+    _in_children(boom, monkeypatch)
+    spec = SweepSpec(kind="power", grid=(5.0,), trials=6, base_seed=9,
+                     methods=("proposed",))
+    with pytest.raises(TrialError, match=r"grid_value 5.0, method "
+                       r"'proposed', seed \d+: synthetic failure") as info:
+        run_sweep(spec, iid_scenario, workers=workers)
+    assert isinstance(info.value.cause, RuntimeError)
+    assert str(info.value.cause) == "synthetic failure"
+
+
+def test_child_exiting_without_result_is_sweep_error(iid_scenario,
+                                                     monkeypatch):
+    _in_children(lambda: os._exit(0), monkeypatch)
+    spec = SweepSpec(kind="power", grid=(5.0,), trials=3, base_seed=9,
+                     methods=("proposed",))
+    with pytest.raises(SweepError, match="exited without sending") as info:
+        run_sweep(spec, iid_scenario, workers=2)
+    assert not isinstance(info.value, TrialError)
+
+
+def test_shared_counter_claims_every_task_once(monkeypatch):
+    """Four workers (more than a 2-core host has) on many tiny tasks: a
+    lost update of the shared counter would run a task twice or not at
+    all."""
+    monkeypatch.setattr(exp, "_trial_task", lambda task: task)
+    tasks = list(range(3000))
+    assert exp._run_tasks(tasks, 4) == tasks
 
 
 @pytest.mark.parametrize("workers", [0, -2, True, 1.5, "2", None])
@@ -271,8 +326,6 @@ def test_run_sweep_bad_overrides(iid_scenario):
 
 
 def test_grid_value_without_finite_power_names_it(iid_scenario, monkeypatch):
-    import ris_crn.experiments as exp
-
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before every cell was set up")
 
@@ -299,8 +352,6 @@ def test_sweep_rows_ordered_and_worker_invariant(iid_scenario, tmp_path,
 
 
 def test_failing_trial_names_cell(iid_scenario, monkeypatch):
-    import ris_crn.experiments as exp
-
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
@@ -338,7 +389,10 @@ def test_tilt_sweep_matches_golden_csv(iid_scenario):
     left the dense constraint stack (mean +6.6e-13, std +1.6e-10,
     relative), and when C1-binding phase steps began to take the certified
     projection of the relaxation in place of SROCR (mean +1.04e-6, std
-    +9.6e-5)."""
+    +9.6e-5).  The whole file was re-recorded when iterations with C1 slack
+    at both blocks began to take MRT and the co-phased profile in closed
+    form: the -90, -60 and 0 deg cells moved, by at most +9.6e-9 relative
+    (0 deg proposed mean), and the -30 deg cells did not."""
     spec = SweepSpec(kind="tilt",
                      grid=(-180.0, -150.0, -120.0, -90.0, -60.0, -30.0, 0.0),
                      trials=2, base_seed=0,

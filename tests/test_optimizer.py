@@ -325,11 +325,11 @@ def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
 
     Integer counts catch a change of the interior-point path that the SE
     comparison at rtol 1e-6 would let through.  On the path-loss default C1
-    is slack, so every phase step is co-phased and only the 2x2 beamformer
-    relaxations run; the iid n_s=4 trial at -30 deg is a C1-binding case
-    whose every phase step takes the certified projection: each outer
-    iteration solves the beamformer relaxation and the phase relaxation,
-    and no SROCR round."""
+    binds at neither block, so every outer iteration takes MRT and the
+    co-phased profile and nothing is solved; the iid n_s=4 trial at -30 deg
+    is a C1-binding case whose every phase step takes the certified
+    projection: each outer iteration solves the beamformer relaxation and
+    the phase relaxation, and no SROCR round."""
     log = []
     real = sdp.solve
 
@@ -341,7 +341,7 @@ def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
 
     monkeypatch.setattr(sdp, "solve", spy)
     run_algorithm1(generate_channels(scenario, seed=0), scenario, seed=0)
-    assert log == [(2, 2, "optimal", 10)] * 7
+    assert log == []
     log.clear()
     iid4 = apply_overrides(iid_scenario, {"n_s": 4})
     run_trial(iid4, "proposed", seed=0, fixed_tilt_deg=-30.0)
@@ -349,6 +349,80 @@ def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
     assert log == [entry for ws, phase in per_outer
                    for entry in ((4, 2, "optimal", ws),
                                  (21, 22, "optimal", phase))]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param((None, seed, None), id=f"pathloss-{seed}")
+    for seed in range(5)] + [
+    pytest.param((4, 0, tilt), id=f"iid-ns4{tilt:+.0f}deg")
+    for tilt in (-90.0, 0.0)])
+def test_c1_slack_iterations_take_closed_form(case, scenario, iid_scenario,
+                                              monkeypatch):
+    """Where C1 binds at neither block, every outer iteration takes MRT at
+    full power and the co-phased profile for it, and no SDP is solved.
+    The final beamformer is MRT for the phases it was taken under (the
+    last phase step moves them after it), and the final phases co-phase
+    it."""
+    n_s, seed, tilt = case
+    sc = scenario if n_s is None else apply_overrides(iid_scenario,
+                                                      {"n_s": n_s})
+    ch = generate_channels(sc, seed=seed)
+    taken = []
+    real = optimizer._closed_form_step
+
+    def spy(state, *args):
+        step = real(state, *args)
+        taken.append((state, step))
+        return step
+
+    monkeypatch.setattr(optimizer, "_closed_form_step", spy)
+    log = _solve_log(monkeypatch)
+    res = run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=tilt)
+    assert log == []
+    assert all(d["ws_step"] == "mrt" and d["phase_recovery"] == "cophase"
+               and "ws_sdp_status" not in d and "ws_reused" not in d
+               for d in res.diagnostics)
+    before, (w, phases) = taken[-1]
+    a = effective_su_row(before, ch, sc)
+    np.testing.assert_allclose(
+        w, np.sqrt(sc.p_max_w) * a.conj() / np.linalg.norm(a), rtol=1e-12)
+    assert np.vdot(w, w).real == pytest.approx(sc.p_max_w, rel=1e-12)
+    # accept may scale w down by an ulp to keep it within the budget
+    np.testing.assert_allclose(res.state.w_s, w, rtol=1e-15)
+    np.testing.assert_array_equal(res.state.phases, phases)
+    np.testing.assert_allclose(np.exp(1j * phases),
+                               np.exp(1j * cophased_phases(res.state, ch)),
+                               atol=1e-12)
+    assert res.feasible
+
+
+def test_c1_binding_phase_step_keeps_beamformer_sdp(iid_scenario,
+                                                    monkeypatch):
+    """An iteration whose MRT keeps C1 but whose co-phased profile for it
+    does not runs the beamformer SDP and the phase SDP as before, so every
+    iteration of the iid n_s=4 trial at -30 deg, seed 2, has both solves,
+    and some of them start from such a slack MRT."""
+    sc = apply_overrides(iid_scenario, {"n_s": 4})
+    ch = generate_channels(sc, seed=2)
+    mrt_slack = []
+    real = optimizer._closed_form_step
+
+    def spy(state, *args):
+        a = effective_su_row(state, ch, sc)
+        mrt = state.with_beamformer(np.sqrt(sc.p_max_w) * a.conj()
+                                    / np.linalg.norm(a))
+        mrt_slack.append(pu_interference(mrt, ch, sc) <= sc.gamma_w)
+        return real(state, *args)
+
+    monkeypatch.setattr(optimizer, "_closed_form_step", spy)
+    log = _solve_log(monkeypatch)
+    res = run_algorithm1(ch, sc, seed=2, fixed_tilt_deg=-30.0)
+    assert any(mrt_slack)
+    assert all(d["ws_step"] == "sdp" and d["phase_recovery"] != "cophase"
+               for d in res.diagnostics)
+    beamformer_solves = sum(p.dim == sc.n_s for p in log)
+    assert beamformer_solves == sum(not d["ws_reused"]
+                                    for d in res.diagnostics) > 0
 
 
 def _phase_objective(problem, l1, phases):
@@ -547,29 +621,32 @@ def test_no_identical_consecutive_solves(iid_scenario, monkeypatch):
     assert trial.outer_iterations == 6
 
 
-def test_far_tilt_cophase_step_reuses_beamformer_solve(iid_scenario,
-                                                       monkeypatch):
+def test_far_tilt_cophase_steps_take_closed_form(iid_scenario, monkeypatch):
     """At -90 deg A_r is ~1e-44 against A_d ~ 0.06, so the reflected path
     sits below an ulp of the direct one: the co-phased step moves the
-    phases but leaves the beamformer SDP byte-equal, and the second step
-    reuses the first solve."""
+    phases but not the SU row, and the second MRT step equals the first.
+    Neither iteration solves an SDP."""
     sc = apply_overrides(iid_scenario, {"n_s": 4})
     ch = generate_channels(sc, seed=0)
     log = _solve_log(monkeypatch)
     res = run_algorithm1(ch, sc, seed=0, fixed_tilt_deg=-90.0)
-    assert [(p.dim, len(p.constraints)) for p in log] == [(sc.n_s, 2)]
-    assert [d["ws_reused"] for d in res.diagnostics] == [False, True]
+    assert log == []
+    assert [d["ws_step"] for d in res.diagnostics] == ["mrt"] * 2
     assert [d["phase_recovery"] for d in res.diagnostics] == ["cophase"] * 2
     assert not np.array_equal(res.state.phases, initial_phases(sc.n_ris, 0))
-    # the SE as it was when the second step solved the same SDP again
-    assert res.se_trace == [0.9329264314127038] * 2
+    assert res.se_trace[0] == res.se_trace[1]
+    # the SE as it was when the step was sqrt(lambda_1) q_1 of the
+    # beamformer relaxation
+    assert res.se == pytest.approx(0.9329264314127038, rel=1e-8)
 
 
 @pytest.mark.parametrize("method", ["proposed", "random_phase"])
 def test_no_beamformer_sdp_solved_twice_in_a_row(method, iid_scenario,
                                                  monkeypatch):
     """Over the tilt grid, no run solves a beamformer SDP byte-equal to
-    the one it solved before (the phase SDPs have dim N + 1)."""
+    the one it solved before (the phase SDPs have dim N + 1).  Iterations
+    where C1 binds at neither block solve none; every -30 deg run, where
+    C1 binds, solves at least one."""
     sc = apply_overrides(iid_scenario, {"n_s": 4})
     log = _solve_log(monkeypatch)
     for tilt in range(-180, 1, 30):
@@ -577,7 +654,7 @@ def test_no_beamformer_sdp_solved_twice_in_a_row(method, iid_scenario,
             log.clear()
             run_trial(sc, method, seed=seed, fixed_tilt_deg=float(tilt))
             solved = [p for p in log if p.dim == sc.n_s]
-            assert solved
+            assert solved or tilt != -30, seed
             assert not any(_same_problem(p, q)
                            for p, q in zip(solved, solved[1:])), (tilt, seed)
 
@@ -621,8 +698,10 @@ def test_failed_phase_solves_are_full_weight_rounds_with_no_interior(
                                     "no_ris"])
 def test_fixed_phase_methods_solve_only_in_first_iteration(
         method, iid_scenario, monkeypatch):
-    """With the phases frozen, every beamformer step after the first
-    reuses the first solve and says so in its diagnostics."""
+    """With the phases frozen at the RIS tilt (-30 deg) MRT breaks C1, and
+    every beamformer step after the first reuses the first solve and says
+    so in its diagnostics.  Without a surface the tilt points at the user,
+    MRT keeps C1, and every step is MRT with no solve."""
     sc = apply_overrides(iid_scenario, {
         "n_s": 4, "n_ris": 0 if method == "no_ris" else iid_scenario.n_ris})
 
@@ -634,6 +713,11 @@ def test_fixed_phase_methods_solve_only_in_first_iteration(
     log = _solve_log(monkeypatch)
     res = run()
     assert res.outer_iterations >= 2
+    if method == "no_ris":
+        assert res.tilt.branch == "direct" and log == []
+        assert [d["ws_step"] for d in res.diagnostics] == (
+            ["mrt"] * res.outer_iterations)
+        return
     assert [d["ws_reused"] for d in res.diagnostics] == (
         [False] + [True] * (res.outer_iterations - 1))
     assert all(d["ws_sdp_status"] == "optimal" for d in res.diagnostics)
