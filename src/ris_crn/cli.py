@@ -73,6 +73,9 @@ def sweep(spec, scenario, out_path, seed, workers):
     """Run a tilt / elements / power sweep and write a CSV."""
     from dataclasses import replace
 
+    if not os.path.isdir(os.path.dirname(out_path) or "."):  # before trials
+        raise click.BadParameter(f"directory of {out_path!r} does not exist",
+                                 param_hint="--out")
     if seed is not None:
         spec = replace(spec, base_seed=seed)
     try:

@@ -7,18 +7,20 @@ interference cap C1 binds at neither block is solved in closed form:
 maximum-ratio transmission (MRT) at full power, then the phase profile that
 co-phases every reflected path with the direct one, each the global optimum
 of its step while it keeps C1.  Every other iteration takes the principal
-eigenvector of the beamformer's tight semidefinite relaxation (the last
-solve is reused while that relaxation stays byte-equal), then the same
-co-phased profile where it keeps C1.  Only where it does not does the phase
-step solve a relaxation: an SDP whose one dense row is C1
-and whose unit-modulus entries are the solver's implicit unit diagonal.
-Its principal eigenvector, projected to unit modulus, is taken when it
-keeps C1 and reaches the relaxation's bound (a certified global optimum);
+eigenvector of the beamformer's tight semidefinite relaxation, then the
+same co-phased profile where it keeps C1.  Only where it does not does the
+phase step solve a relaxation: an SDP whose one dense row is C1 and whose
+unit-modulus entries are the solver's implicit unit diagonal.  Its
+principal eigenvector, projected to unit modulus, is taken when it keeps
+C1 and reaches the relaxation's bound (a certified global optimum);
 otherwise sequential rank-one constraint relaxation (SROCR) recovers the
 phases, and Gaussian randomization where SROCR stalls.  Every accepted
 iterate is feasible and the spectral-efficiency trace is non-decreasing
 by construction: a recovered candidate that would lower the objective is
-discarded in favor of the previous iterate.
+discarded in favor of the previous iterate.  The loop stops when the SE
+gain falls below EPSILON, or at a fixed point: an iteration that leaves
+the phases where it found them is recorded once more, as the iteration
+that would repeat it, and not run again.
 """
 
 from __future__ import annotations
@@ -347,39 +349,23 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     se_prev = 0.0
     se_trace: list[float] = []
     diagnostics: list[dict] = []
-    # The beamformer SDP differs between steps only in its objective and C1
-    # matrices (tilt, channels, P and Gamma are fixed within a call), so a
-    # step whose two matrices are byte-equal to those of the last solve
-    # reuses that solve's result and diagnostics, as every step after the
-    # first does while the phases are frozen.
-    ws_key, ws_step, ws_diag = None, None, {}
     update_phases = update_phases and scenario.n_ris > 0
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
+        start = state.phases.tobytes()
         closed = _closed_form_step(state, channels, scenario, update_phases)
-        if closed is not None:
-            w, phases = closed
-            diag["ws_step"] = "mrt"
-            state, se_now = accept(state.with_beamformer(w), state, se_now)
-            if update_phases:
+        diag["ws_step"] = "sdp" if closed is None else "mrt"
+        w, phases = closed or (_solve_ws(
+            build_ws_problem(state, channels, scenario), diag), None)
+        state, se_now = accept(state.with_beamformer(
+            state.w_s if w is None else w), state, se_now)
+        if update_phases:
+            if phases is None:
+                phases = _solve_phases(state, channels, scenario,
+                                       fallback_rng, diag)
+            else:
                 diag["phase_recovery"] = "cophase"
-                state, se_now = accept(state.with_phases(phases), state,
-                                       se_now)
-        else:
-            diag["ws_step"] = "sdp"
-            problem = build_ws_problem(state, channels, scenario)
-            key = problem.c.tobytes() + problem.a[0].tobytes()
-            reused = key == ws_key
-            if not reused:
-                ws_key, ws_diag = key, {}
-                ws_step = _solve_ws(problem, ws_diag)
-            diag.update(ws_diag, ws_reused=reused)
-            state, se_now = accept(state.with_beamformer(
-                state.w_s if ws_step is None else ws_step), state, se_now)
-            if update_phases:
-                state, se_now = accept(state.with_phases(_solve_phases(
-                    state, channels, scenario, fallback_rng, diag)),
-                    state, se_now)
+            state, se_now = accept(state.with_phases(phases), state, se_now)
         se_trace.append(se_now)
         diag["se"] = se_now
         diagnostics.append(diag)
@@ -388,6 +374,16 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
         err = (se_now - se_prev) / se_now
         se_prev = se_now
         if err < EPSILON:
+            break
+        # The beamformer step depends only on the phases it starts from and
+        # the phase step only on the state the beamformer step leaves, so an
+        # iteration that ends at the phases it started from is a fixed point:
+        # the next would repeat it and stop with gain 0.  It is recorded, not
+        # run, unless its phase step drew from the randomization stream.
+        if (t < MAX_OUTER_ITERS and state.phases.tobytes() == start
+                and diag.get("phase_recovery") != "randomization"):
+            se_trace.append(se_now)
+            diagnostics.append(dict(diag, iteration=t + 1, replayed=True))
             break
 
     leak = pu_interference(state, channels, scenario)

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from ris_crn import experiments
 from ris_crn.cli import main
 from ris_crn.scenario import apply_overrides, paper_default, scenario_to_dict
 
@@ -144,6 +145,24 @@ def test_bad_input_document_is_usage_error(runner, tmp_path, option, text,
         result = runner.invoke(main, ["solve", option, str(path)])
         assert result.exit_code == 2
         assert option in result.output and message in result.output
+
+
+def test_sweep_out_in_missing_directory_is_usage_error(runner, tmp_path,
+                                                      monkeypatch):
+    """An --out path in a directory that does not exist is a usage error
+    found before any trial runs, not a traceback after all of them."""
+    calls = []
+    monkeypatch.setattr(experiments, "run_trial",
+                        lambda *args: calls.append(args))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec_doc()))
+    out = tmp_path / "missing" / "out.csv"
+    result = runner.invoke(main, ["sweep", "--spec", str(spec),
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--out" in result.output and "does not exist" in result.output
+    assert "Traceback" not in result.output
+    assert calls == [] and not out.parent.exists()
 
 
 @pytest.mark.parametrize("changes", [

@@ -392,11 +392,14 @@ def test_tilt_sweep_matches_golden_csv(iid_scenario):
     +9.6e-5).  The whole file was re-recorded when iterations with C1 slack
     at both blocks began to take MRT and the co-phased profile in closed
     form: the -90, -60 and 0 deg cells moved, by at most +9.6e-9 relative
-    (0 deg proposed mean), and the -30 deg cells did not."""
+    (0 deg proposed mean), and the -30 deg cells did not.  The
+    fixed_zero_phase cells were added, recorded by the loop that still ran
+    the last iteration again at a fixed point."""
     spec = SweepSpec(kind="tilt",
                      grid=(-180.0, -150.0, -120.0, -90.0, -60.0, -30.0, 0.0),
                      trials=2, base_seed=0,
-                     methods=("proposed", "random_phase", "no_ris"),
+                     methods=("proposed", "random_phase", "fixed_zero_phase",
+                              "no_ris"),
                      overrides={"n_s": 4})
     golden = (Path(__file__).parent / "data" / "golden_tilt_sweep.csv")
     assert run_sweep(spec, iid_scenario).to_csv() == golden.read_text()

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,8 +382,7 @@ def test_c1_slack_iterations_take_closed_form(case, scenario, iid_scenario,
     res = run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=tilt)
     assert log == []
     assert all(d["ws_step"] == "mrt" and d["phase_recovery"] == "cophase"
-               and "ws_sdp_status" not in d and "ws_reused" not in d
-               for d in res.diagnostics)
+               and "ws_sdp_status" not in d for d in res.diagnostics)
     before, (w, phases) = taken[-1]
     a = effective_su_row(before, ch, sc)
     np.testing.assert_allclose(
@@ -421,8 +422,9 @@ def test_c1_binding_phase_step_keeps_beamformer_sdp(iid_scenario,
     assert all(d["ws_step"] == "sdp" and d["phase_recovery"] != "cophase"
                for d in res.diagnostics)
     beamformer_solves = sum(p.dim == sc.n_s for p in log)
-    assert beamformer_solves == sum(not d["ws_reused"]
-                                    for d in res.diagnostics) > 0
+    assert beamformer_solves == sum(
+        d["ws_step"] == "sdp" and not d.get("replayed")
+        for d in res.diagnostics) > 0
 
 
 def _phase_objective(problem, l1, phases):
@@ -698,31 +700,87 @@ def test_failed_phase_solves_are_full_weight_rounds_with_no_interior(
                                     "no_ris"])
 def test_fixed_phase_methods_solve_only_in_first_iteration(
         method, iid_scenario, monkeypatch):
-    """With the phases frozen at the RIS tilt (-30 deg) MRT breaks C1, and
-    every beamformer step after the first reuses the first solve and says
-    so in its diagnostics.  Without a surface the tilt points at the user,
-    MRT keeps C1, and every step is MRT with no solve."""
+    """With the phases frozen the first iteration is a fixed point, so the
+    second is recorded as its replay and nothing is solved for it.  At the
+    RIS tilt (-30 deg) MRT breaks C1 and the one beamformer SDP is the first
+    iteration's.  Without a surface the tilt points at the user, MRT keeps
+    C1, and no SDP is solved."""
     sc = apply_overrides(iid_scenario, {
         "n_s": 4, "n_ris": 0 if method == "no_ris" else iid_scenario.n_ris})
-
-    def run():
-        return run_algorithm1(generate_channels(sc, seed=1), sc, seed=1,
-                              update_phases=False,
-                              zero_phase_start=(method == "fixed_zero_phase"))
-
     log = _solve_log(monkeypatch)
-    res = run()
-    assert res.outer_iterations >= 2
+    res = run_algorithm1(generate_channels(sc, seed=1), sc, seed=1,
+                         update_phases=False,
+                         zero_phase_start=(method == "fixed_zero_phase"))
+    assert res.outer_iterations == 2
+    first, replay = res.diagnostics
+    assert "replayed" not in first
+    assert replay == dict(first, iteration=2, replayed=True)
+    assert res.se_trace[1] == res.se_trace[0] == first["se"] > 0
     if method == "no_ris":
         assert res.tilt.branch == "direct" and log == []
-        assert [d["ws_step"] for d in res.diagnostics] == (
-            ["mrt"] * res.outer_iterations)
+        assert first["ws_step"] == "mrt"
         return
-    assert [d["ws_reused"] for d in res.diagnostics] == (
-        [False] + [True] * (res.outer_iterations - 1))
-    assert all(d["ws_sdp_status"] == "optimal" for d in res.diagnostics)
-    calls = len(log)
+    assert first["ws_step"] == "sdp" and first["ws_sdp_status"] == "optimal"
+    assert [p.dim for p in log] == [sc.n_s]
+
+
+# iid n_s=2 at -30 deg: the last real iteration's SROCR phase step is
+# rejected, so the iteration ends at the phases it started from.  The
+# traces are those of the loop that ran that iteration again.
+FIXED_POINT_TRACES = {
+    8: [7.961220511828901, 8.209517583541455, 8.32326443855962,
+        8.382699212556721, 8.418693248236744, 8.44441442750693,
+        8.458136020845862, 8.458136020845862],
+    17: [15.33578263256531, 15.353292353224607, 15.353292353224607],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIXED_POINT_TRACES))
+def test_proposed_fixed_point_is_replayed_not_solved(seed, iid_scenario,
+                                                     monkeypatch):
+    """A phase-updating run that reaches a fixed point records the replay
+    with the same SE and solves nothing after its last real iteration:
+    capping the loop there solves exactly the same SDPs."""
+    sc = apply_overrides(iid_scenario, {"n_s": 2})
+    ch = generate_channels(sc, seed=seed)
+    log = _solve_log(monkeypatch)
+    res = run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=-30.0)
+    assert res.se_trace == FIXED_POINT_TRACES[seed]
+    *real, replay = res.diagnostics
+    assert not any(d.get("replayed") for d in real)
+    assert replay == dict(real[-1], iteration=len(real) + 1, replayed=True)
+    assert replay["phase_recovery"] == "srocr"
+    solved = list(log)
     log.clear()
-    monkeypatch.setattr(optimizer, "MAX_OUTER_ITERS", 1)
-    run()
-    assert len(log) == calls > 0
+    monkeypatch.setattr(optimizer, "MAX_OUTER_ITERS", len(real))
+    capped = run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=-30.0)
+    assert capped.se_trace == res.se_trace[:-1]
+    assert len(solved) == len(log) and all(map(_same_problem, solved, log))
+
+
+def _readme_diagnostics_keys():
+    """The keys the README's diagnostics list names: the backquoted names
+    before the colon of each item."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    start = text.index("`OptimizerResult.diagnostics` holds")
+    section = text[start:text.index("\n## ", start)]
+    heads = re.findall(r"^- (.+?):", section, flags=re.M)
+    return {key for head in heads for key in re.findall(r"`(\w+)`", head)}
+
+
+def test_readme_lists_every_diagnostics_key(scenario, iid_scenario):
+    """The README's diagnostics list matches the keys the loop emits over
+    runs that take every path: closed form (path loss), certified and SROCR
+    phase steps (iid n_s=4, -30 deg), and the replay of a phase-updating
+    and of a frozen-phase fixed point."""
+    runs = [(scenario, 0, None, True)]
+    ns4 = apply_overrides(iid_scenario, {"n_s": 4})
+    ns2 = apply_overrides(iid_scenario, {"n_s": 2})
+    runs += [(ns4, 1, -30.0, True), (ns4, 2, -30.0, True),
+             (ns2, 8, -30.0, True), (ns4, 1, -30.0, False)]
+    emitted = set()
+    for sc, seed, tilt, update in runs:
+        res = run_algorithm1(generate_channels(sc, seed=seed), sc, seed=seed,
+                             fixed_tilt_deg=tilt, update_phases=update)
+        emitted.update(*res.diagnostics)
+    assert _readme_diagnostics_keys() == emitted
