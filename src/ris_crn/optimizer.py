@@ -25,14 +25,16 @@ that would repeat it, and not run again.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sdp, srocr
 from .channels import ChannelSet, pbs_beamformer, stream_rng
-from .metrics import (DesignState, effective_pu_row, effective_su_row,
-                      pattern_gains, pu_interference, se_su, sinr_su)
+# perfbench/spans.py wraps sinr_su and pu_interference in this namespace
+from .metrics import (DesignState, LinkModel, link_model, pu_interference,
+                      se_su, sinr_su)
 from .scenario import Scenario, _check_angle
 
 EPSILON = 1e-3         # relative SE gain below which the loop stops
@@ -99,10 +101,11 @@ def select_tilt(scenario: Scenario) -> TiltDecision:
 # -- subproblem builders --------------------------------------------------
 
 def build_ws_problem(state: DesignState, channels: ChannelSet,
-                     scenario: Scenario) -> sdp.SdpProblem:
+                     scenario: Scenario,
+                     model: LinkModel | None = None) -> sdp.SdpProblem:
     """Beamformer subproblem: max a W a^H s.t. b W b^H <= Gamma, tr W <= P."""
-    a = effective_su_row(state, channels, scenario)
-    b = effective_pu_row(state, channels, scenario)
+    model = model or link_model(state, channels, scenario)
+    a, b = model.su_row(state), model.pu_row(state)
     n_s = scenario.n_s
     return sdp.SdpProblem(np.outer(a.conj(), a),
                           (np.outer(b.conj(), b), np.eye(n_s)),
@@ -110,7 +113,7 @@ def build_ws_problem(state: DesignState, channels: ChannelSet,
 
 
 def build_phase_problem(state: DesignState, channels: ChannelSet,
-                        scenario: Scenario):
+                        scenario: Scenario, model: LinkModel | None = None):
     """Phase subproblem in homogenized form.
 
     Returns (SdpProblem over X of size N+1, l1, l2) with objective
@@ -118,7 +121,7 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
     (``unit_diagonal``).  For every unit-modulus x = [e^{j alpha}; 1],
     l1 + x^H H1 x equals |a(alpha) w_s|^2 exactly.
     """
-    a_d, a_r, a_i = pattern_gains(state, scenario)
+    a_d, a_r, a_i = (model or link_model(state, channels, scenario)).gains
     w = state.w_s
     gw = channels.G @ w
     n = scenario.n_ris
@@ -179,7 +182,8 @@ def _mrt(a: np.ndarray, p_max_w: float) -> np.ndarray | None:
 
 
 def _closed_form_step(state: DesignState, channels: ChannelSet,
-                      scenario: Scenario, update_phases: bool):
+                      scenario: Scenario, model: LinkModel,
+                      update_phases: bool):
     """(beamformer, phases) of an outer iteration in which C1 binds at
     neither block, or None.
 
@@ -189,15 +193,15 @@ def _closed_form_step(state: DesignState, channels: ChannelSet,
     the phase step's optimum when that keeps C1 too (see _solve_phases).
     The phases are None when they are frozen.
     """
-    w = _mrt(effective_su_row(state, channels, scenario), scenario.p_max_w)
+    w = _mrt(model.su_row(state), scenario.p_max_w)
     if w is None:
         return None
     state = state.with_beamformer(w)
-    if pu_interference(state, channels, scenario) > scenario.gamma_w:
+    if model.leak(state) > scenario.gamma_w:
         return None
     if not update_phases:
         return w, None
-    phases = _cophased_within_cap(state, channels, scenario)
+    phases = _cophased_within_cap(state, channels, scenario, model)
     return None if phases is None else (w, phases)
 
 
@@ -215,12 +219,12 @@ def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
 
 
 def _cophased_within_cap(state: DesignState, channels: ChannelSet,
-                         scenario: Scenario) -> np.ndarray | None:
+                         scenario: Scenario,
+                         model: LinkModel) -> np.ndarray | None:
     """The co-phased profile for the state's beamformer when it keeps C1,
     else None."""
     phases = cophased_phases(state, channels)
-    if (pu_interference(state.with_phases(phases), channels, scenario)
-            <= scenario.gamma_w):
+    if model.leak(state.with_phases(phases)) <= scenario.gamma_w:
         return phases
     return None
 
@@ -236,7 +240,7 @@ def _sdr_gap(problem: sdp.SdpProblem, bound: float,
 
 
 def _solve_phases(state: DesignState, channels: ChannelSet,
-                  scenario: Scenario, rng: np.random.Generator,
+                  scenario: Scenario, model: LinkModel, fallback_rng,
                   diag: dict) -> np.ndarray:
     """Phase step: the first of these recoveries that applies.
 
@@ -250,16 +254,16 @@ def _solve_phases(state: DesignState, channels: ChannelSet,
        subproblem (Huang & Palomar, IEEE TSP 2010; Wu & Zhang, IEEE TWC
        2019).
     3. SROCR, from that same eigenpair.
-    4. Gaussian randomization, where the SROCR schedule stalls.
+    4. Gaussian randomization from ``fallback_rng()``, where SROCR stalls.
 
     ``phase_sdr_gap`` is the relative gap to tr(H1 X) of the phases taken,
     on every step that solved the relaxation.
     """
-    cophased = _cophased_within_cap(state, channels, scenario)
+    cophased = _cophased_within_cap(state, channels, scenario, model)
     if cophased is not None:
         diag["phase_recovery"] = "cophase"
         return cophased
-    problem, _, _ = build_phase_problem(state, channels, scenario)
+    problem, _, _ = build_phase_problem(state, channels, scenario, model)
     relaxed = sdp.solve(problem)
     diag["phase_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
@@ -279,7 +283,7 @@ def _solve_phases(state: DesignState, channels: ChannelSet,
             x = srocr.extract_vector(result, "phases")
             diag["phase_recovery"] = "srocr"
         else:
-            x = srocr.randomize_phases(problem, relaxed.x, rng)
+            x = srocr.randomize_phases(problem, relaxed.x, fallback_rng())
             diag["phase_recovery"] = "randomization"
         phases = np.angle(x[:-1])
         gap, _ = _sdr_gap(problem, relaxed.objective, phases)
@@ -303,8 +307,6 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     if fixed_tilt_deg is not None:
         _check_angle("fixed_tilt_deg", fixed_tilt_deg)
     channels.validate(scenario)
-    w_p = pbs_beamformer(channels.h_p, scenario.pp_dbw)
-
     phases0 = (np.zeros(scenario.n_ris) if zero_phase_start
                else initial_phases(scenario.n_ris, seed))
     if fixed_tilt_deg is not None:
@@ -313,7 +315,10 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
         tilt = select_tilt(scenario)
     state = DesignState(np.zeros(scenario.n_s, dtype=complex), phases0,
                         tilt.theta_tilt_deg)
-    fallback_rng = stream_rng(seed, "randomization")
+    model = link_model(state, channels, scenario,
+                       pbs_beamformer(channels.h_p, scenario.pp_dbw))
+    # built on the fallback's first draw; later ones continue the stream
+    fallback_rng = functools.cache(lambda: stream_rng(seed, "randomization"))
 
     def accept(cand: DesignState, current: DesignState, se: float):
         """Repair cand, then keep it only if the SE does not drop.
@@ -329,7 +334,7 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
         if power > scenario.p_max_w:
             scale2 = min(scale2, scenario.p_max_w / power)
         cap = scenario.gamma_w * (1.0 - 1e-9)
-        leak = pu_interference(cand, channels, scenario)
+        leak = model.leak(cand)
         leak_rescaled = leak > cap
         if leak_rescaled:
             scale2 = min(scale2, cap / leak)
@@ -338,11 +343,11 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
         # where |b w| sits at the rounding floor of ||b|| ||w||, one
         # rescale can land above the cap; repeat it while it does
         for _ in range(C1_REPAIR_PASSES if leak_rescaled else 0):
-            leak = pu_interference(cand, channels, scenario)
+            leak = model.leak(cand)
             if leak <= scenario.gamma_w:
                 break
             cand = cand.with_beamformer(cand.w_s * np.sqrt(cap / leak))
-        se_cand = se_su(sinr_su(cand, channels, w_p, scenario))
+        se_cand = se_su(model.sinr(cand))
         return (cand, se_cand) if se_cand >= se else (current, se)
 
     se_now = 0.0       # the zero beamformer carries no signal
@@ -353,15 +358,16 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
         start = state.phases.tobytes()
-        closed = _closed_form_step(state, channels, scenario, update_phases)
+        closed = _closed_form_step(state, channels, scenario, model,
+                                   update_phases)
         diag["ws_step"] = "sdp" if closed is None else "mrt"
         w, phases = closed or (_solve_ws(
-            build_ws_problem(state, channels, scenario), diag), None)
+            build_ws_problem(state, channels, scenario, model), diag), None)
         state, se_now = accept(state.with_beamformer(
             state.w_s if w is None else w), state, se_now)
         if update_phases:
             if phases is None:
-                phases = _solve_phases(state, channels, scenario,
+                phases = _solve_phases(state, channels, scenario, model,
                                        fallback_rng, diag)
             else:
                 diag["phase_recovery"] = "cophase"
@@ -386,7 +392,7 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
             diagnostics.append(dict(diag, iteration=t + 1, replayed=True))
             break
 
-    leak = pu_interference(state, channels, scenario)
+    leak = model.leak(state)
     power = float(np.vdot(state.w_s, state.w_s).real)
     feasible = (leak <= scenario.gamma_w * (1.0 + 1e-6)
                 and power <= scenario.p_max_w * (1.0 + 1e-6))

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_crn import optimizer, sdp, srocr
-from ris_crn.channels import generate_channels, pbs_beamformer
+from ris_crn import metrics, optimizer, sdp, srocr
+from ris_crn.channels import generate_channels, pbs_beamformer, stream_rng
 from ris_crn.experiments import run_trial
 from ris_crn.metrics import (DesignState, effective_pu_row, effective_su_row,
                              pattern_gains, pu_interference, se_su, sinr_su)
@@ -531,8 +531,8 @@ def test_certified_phase_step_is_feasible_and_optimal(iid_scenario,
     steps = []
     real = optimizer._solve_phases
 
-    def spy(state, channels, scenario, rng, diag):
-        phases = real(state, channels, scenario, rng, diag)
+    def spy(state, channels, scenario, model, fallback_rng, diag):
+        phases = real(state, channels, scenario, model, fallback_rng, diag)
         steps.append((state, channels, diag, phases))
         return phases
 
@@ -784,3 +784,110 @@ def test_readme_lists_every_diagnostics_key(scenario, iid_scenario):
                              fixed_tilt_deg=tilt, update_phases=update)
         emitted.update(*res.diagnostics)
     assert _readme_diagnostics_keys() == emitted
+
+
+# (scenario fixture, overrides, seed, fixed tilt, update_phases): path-loss
+# solves at the analytic tilt, a C1-binding iid n_s=4 solve at -30 deg that
+# runs both SDPs, one without a surface and one with frozen phases
+LOOP_CASES = {
+    **{f"pathloss-{seed}": ("scenario", {}, seed, None, True)
+       for seed in range(3)},
+    "iid-ns4-30deg": ("iid_scenario", {"n_s": 4}, 1, -30.0, True),
+    "no-ris": ("scenario", {"n_ris": 0}, 0, None, True),
+    "frozen-phases": ("iid_scenario", {"n_s": 4}, 1, -30.0, False),
+}
+
+
+def _loop_case(request, name):
+    fixture, overrides, seed, tilt, update = LOOP_CASES[name]
+    sc = apply_overrides(request.getfixturevalue(fixture), overrides)
+    return sc, generate_channels(sc, seed=seed), seed, tilt, update
+
+
+@pytest.mark.parametrize("case", ["pathloss-0", "iid-ns4-30deg"])
+def test_pattern_gains_evaluated_once_per_call(case, request, monkeypatch):
+    """The tilt is fixed before the loop starts, so a run_algorithm1 call
+    evaluates the antenna pattern at most once per gain (A_d, A_r, A_i),
+    however many rows, SINRs and C1 checks its iterations take."""
+    sc, ch, seed, tilt, update = _loop_case(request, case)
+    calls = []
+    real = metrics.vertical_gain_linear
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(metrics, "vertical_gain_linear", spy)
+    res = run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=tilt,
+                         update_phases=update)
+    assert res.outer_iterations > 1
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("case", list(LOOP_CASES))
+def test_loop_agrees_bitwise_with_public_evaluators(case, request,
+                                                    monkeypatch):
+    """The loop's SE, C1 leak and beamformer-problem rows are the floats
+    the public metrics functions give for the same state, exactly."""
+    sc, ch, seed, tilt, update = _loop_case(request, case)
+    built = []
+    real = optimizer.build_ws_problem
+
+    def spy(state, *args):
+        problem = real(state, *args)
+        built.append((state, problem))
+        return problem
+
+    monkeypatch.setattr(optimizer, "build_ws_problem", spy)
+    res = run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=tilt,
+                         update_phases=update)
+    w_p = pbs_beamformer(ch.h_p, sc.pp_dbw)
+    assert res.se == se_su(sinr_su(res.state, ch, w_p, sc))
+    assert res.pu_interference_w == pu_interference(res.state, ch, sc)
+    built.append((res.state, real(res.state, ch, sc)))
+    for state, problem in built:    # SdpProblem symmetrizes what it takes
+        a = effective_su_row(state, ch, sc)
+        b = effective_pu_row(state, ch, sc)
+        np.testing.assert_array_equal(
+            problem.c, sdp.check_hermitian(np.outer(a.conj(), a)))
+        np.testing.assert_array_equal(
+            problem.a[0], sdp.check_hermitian(np.outer(b.conj(), b)))
+
+
+def test_randomization_stream_built_on_first_fallback(iid_scenario,
+                                                      monkeypatch):
+    """The randomization stream is made only when the fallback first runs,
+    and every later fallback step of the call continues that one stream.
+    Forcing SROCR to fail on the seed-7 trial at -30 deg (no step of which
+    certifies) sends each C1-binding phase step to the fallback."""
+    sc = apply_overrides(iid_scenario, {"n_s": 4})
+    ch = generate_channels(sc, seed=7)
+    streams = []
+    real_stream = optimizer.stream_rng
+
+    def stream_spy(seed, name):
+        streams.append(name)
+        return real_stream(seed, name)
+
+    monkeypatch.setattr(optimizer, "stream_rng", stream_spy)
+    run_algorithm1(ch, sc, seed=7, fixed_tilt_deg=-30.0)
+    assert "randomization" not in streams
+
+    real_refine, real_randomize = srocr.refine, srocr.randomize_phases
+    monkeypatch.setattr(srocr, "refine", lambda *a, **k: dataclasses.replace(
+        real_refine(*a, **k), feasible=False))
+    drawn = []
+
+    def randomize_spy(problem, relaxed_x, rng):
+        drawn.append((rng, rng.bit_generator.state))
+        return real_randomize(problem, relaxed_x, rng)
+
+    monkeypatch.setattr(srocr, "randomize_phases", randomize_spy)
+    streams.clear()
+    res = run_algorithm1(ch, sc, seed=7, fixed_tilt_deg=-30.0)
+    assert streams.count("randomization") == 1
+    assert len(drawn) > 1 and all(rng is drawn[0][0] for rng, _ in drawn)
+    assert drawn[0][1] == stream_rng(7, "randomization").bit_generator.state
+    assert drawn[1][1] != drawn[0][1]
+    assert sum(d.get("phase_recovery") == "randomization"
+               for d in res.diagnostics) == len(drawn)
