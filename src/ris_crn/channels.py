@@ -4,6 +4,8 @@ Each link combines a distance power-law path-loss amplitude with Rician
 small-scale fading.  The line-of-sight component is built from
 half-wavelength uniform-linear-array steering vectors at the geometric
 elevation angle of the link, which keeps every LOS entry unit-modulus.
+A link's path-loss amplitude and LOS term sqrt(K/(K+1)) LOS depend only on
+its geometry, so ``_link_terms`` builds them once and draws share them.
 
 ``ChannelParams.iid_mode`` switches to the statistical model used by the
 tilt-selection analysis: every entry iid CSCG(0, channel_sigma2) with no
@@ -12,6 +14,7 @@ path loss and no LOS structure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +84,16 @@ def rician_sample(rows: int, cols: int, k: float, los: np.ndarray,
     return np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * w
 
 
+@functools.lru_cache(maxsize=128)   # keyed by value: dataclasses are frozen
+def _link_terms(rows: int, cols: int, src, dst, params: ChannelParams):
+    """(path-loss amplitude, read-only sqrt(K/(K+1)) LOS) of a link."""
+    k = params.rician_k
+    los_term = np.sqrt(k / (k + 1.0)) * los_matrix(rows, cols,
+                                                   elevation_deg(src, dst))
+    los_term.flags.writeable = False
+    return path_loss_amplitude(src.distance_to(dst), params), los_term
+
+
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(STREAMS[stream],))
     return np.random.Generator(np.random.PCG64(ss))
@@ -94,14 +107,12 @@ def generate_channels(scenario: Scenario, seed: int = 0) -> ChannelSet:
 
     def draw(link, rows, cols, src, dst):
         rng = stream_rng(seed, link)
+        w = (rng.standard_normal((rows, cols))
+             + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
         if cp.iid_mode:
-            w = (rng.standard_normal((rows, cols))
-                 + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
             return np.sqrt(cp.channel_sigma2) * w
-        a, b = pos[src], pos[dst]
-        los = los_matrix(rows, cols, elevation_deg(a, b))
-        return path_loss_amplitude(a.distance_to(b), cp) * rician_sample(
-            rows, cols, cp.rician_k, los, rng)
+        pl, los_term = _link_terms(rows, cols, pos[src], pos[dst], cp)
+        return pl * (los_term + np.sqrt(1.0 / (cp.rician_k + 1.0)) * w)
 
     return ChannelSet(
         G=draw("G", n, n_s, "sbs", "ris"),

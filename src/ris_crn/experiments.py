@@ -204,14 +204,14 @@ def _run_tasks(tasks: list, workers: int) -> list:
     """Every task's result, in task order.
 
     The calling process is one of the workers; the other
-    ``min(workers, len(tasks)) - 1`` are forked children, so they start
-    with the task list and every import already in memory (a spawned child
-    would import numpy and scipy again, which takes longer than a whole
-    path-loss sweep of 20 trials).  All workers claim task indices from
-    one shared counter.  A task's exception, the caller's own or else the
-    first child's in start order, is raised once every child has exited;
-    a child that exits without sending its results is a ``SweepError``.
-    No child outlives the call.
+    ``min(workers, len(tasks)) - 1`` are forked children, which start with
+    the task list and the caller's imports in memory (a spawned one would
+    import numpy again); a child that solves an SDP before the caller ever
+    has imports the LAPACK bindings itself.  All workers claim task indices
+    from one shared counter.  A task's exception, the caller's own or else
+    the first child's in start order, is raised once every child has
+    exited; a child that exits without sending its results is a
+    ``SweepError``.  No child outlives the call.
     """
     n_children = min(workers, len(tasks)) - 1
     if n_children == 0:

@@ -4,8 +4,10 @@ The tilt gains enter as amplitudes on the channel rows:
 ``a = sqrt(A_d) h_s^H + sqrt(A_r) u^H diag(e^{j alpha}) G`` toward the SU and
 ``b = sqrt(A_i) f_p^H + sqrt(A_r) v^H diag(e^{j alpha}) G`` toward the PU.
 A ``LinkModel`` holds what the tilt, channels and scenario fix: the gains,
-the scaled direct rows and the SINR denominator.  ``run_algorithm1`` builds
-one per call; each public function below builds one per evaluation.
+the scaled direct rows and the SINR denominator.  ``rows`` forms both rows
+of a phase profile and ``sinr`` and ``leak`` take a row, so a caller that
+keeps a profile's rows forms them once.  ``run_algorithm1`` builds one
+model per call; each public function below builds one per evaluation.
 """
 
 from __future__ import annotations
@@ -59,24 +61,20 @@ class LinkModel:
     sqrt_a_r: float
     sinr_denominator: float             # noise_w + |f_s^H w_p|^2, or NaN
 
-    def _row(self, direct, cascade_h, state: DesignState) -> np.ndarray:
+    def rows(self, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b): the effective SU and PU rows under a phase profile."""
         if self.G.shape[0] == 0:
-            return direct
-        return direct + self.sqrt_a_r * (
-            cascade_h * state.ris_coefficients) @ self.G
+            return self.su_direct, self.pu_direct
+        coeffs = np.exp(1j * phases)
+        return (self.su_direct + self.sqrt_a_r * (self.u_h * coeffs) @ self.G,
+                self.pu_direct + self.sqrt_a_r * (self.v_h * coeffs) @ self.G)
 
-    def su_row(self, state: DesignState) -> np.ndarray:
-        return self._row(self.su_direct, self.u_h, state)
+    def sinr(self, a: np.ndarray, w_s: np.ndarray) -> float:
+        return float(abs(np.dot(a, w_s)) ** 2 / self.sinr_denominator)
 
-    def pu_row(self, state: DesignState) -> np.ndarray:
-        return self._row(self.pu_direct, self.v_h, state)
-
-    def sinr(self, state: DesignState) -> float:
-        signal = abs(np.dot(self.su_row(state), state.w_s)) ** 2
-        return float(signal / self.sinr_denominator)
-
-    def leak(self, state: DesignState) -> float:
-        return float(abs(np.dot(self.pu_row(state), state.w_s)) ** 2)
+    @staticmethod
+    def leak(b: np.ndarray, w_s: np.ndarray) -> float:
+        return float(abs(np.dot(b, w_s)) ** 2)
 
 
 def link_model(state: DesignState, channels: ChannelSet, scenario: Scenario,
@@ -92,17 +90,18 @@ def link_model(state: DesignState, channels: ChannelSet, scenario: Scenario,
 
 def effective_su_row(state: DesignState, channels: ChannelSet,
                      scenario: Scenario) -> np.ndarray:
-    return link_model(state, channels, scenario).su_row(state)
+    return link_model(state, channels, scenario).rows(state.phases)[0]
 
 
 def effective_pu_row(state: DesignState, channels: ChannelSet,
                      scenario: Scenario) -> np.ndarray:
-    return link_model(state, channels, scenario).pu_row(state)
+    return link_model(state, channels, scenario).rows(state.phases)[1]
 
 
 def sinr_su(state: DesignState, channels: ChannelSet, w_p: np.ndarray,
             scenario: Scenario) -> float:
-    return link_model(state, channels, scenario, w_p).sinr(state)
+    model = link_model(state, channels, scenario, w_p)
+    return model.sinr(model.rows(state.phases)[0], state.w_s)
 
 
 def se_su(sinr: float) -> float:
@@ -111,4 +110,5 @@ def se_su(sinr: float) -> float:
 
 def pu_interference(state: DesignState, channels: ChannelSet,
                     scenario: Scenario) -> float:
-    return link_model(state, channels, scenario).leak(state)
+    return LinkModel.leak(effective_pu_row(state, channels, scenario),
+                          state.w_s)

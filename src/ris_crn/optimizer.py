@@ -102,13 +102,12 @@ def select_tilt(scenario: Scenario) -> TiltDecision:
 
 def build_ws_problem(state: DesignState, channels: ChannelSet,
                      scenario: Scenario,
-                     model: LinkModel | None = None) -> sdp.SdpProblem:
-    """Beamformer subproblem: max a W a^H s.t. b W b^H <= Gamma, tr W <= P."""
-    model = model or link_model(state, channels, scenario)
-    a, b = model.su_row(state), model.pu_row(state)
-    n_s = scenario.n_s
+                     rows: tuple | None = None) -> sdp.SdpProblem:
+    """Beamformer subproblem: max a W a^H s.t. b W b^H <= Gamma, tr W <= P,
+    for the rows (a, b) under the state's phases."""
+    a, b = rows or link_model(state, channels, scenario).rows(state.phases)
     return sdp.SdpProblem(np.outer(a.conj(), a),
-                          (np.outer(b.conj(), b), np.eye(n_s)),
+                          (np.outer(b.conj(), b), np.eye(scenario.n_s)),
                           (scenario.gamma_w, scenario.p_max_w))
 
 
@@ -181,28 +180,27 @@ def _mrt(a: np.ndarray, p_max_w: float) -> np.ndarray | None:
     return np.sqrt(p_max_w) * unit / np.linalg.norm(unit)
 
 
-def _closed_form_step(state: DesignState, channels: ChannelSet,
+def _closed_form_step(state: DesignState, rows: tuple, channels: ChannelSet,
                       scenario: Scenario, model: LinkModel,
                       update_phases: bool):
-    """(beamformer, phases) of an outer iteration in which C1 binds at
-    neither block, or None.
+    """(beamformer, (phases, their rows)) of an outer iteration in which C1
+    binds at neither block, or None; ``rows`` are the state's.
 
     MRT maximizes |a w|^2 over ||w||^2 <= P, so when it keeps C1 under the
     current phases it is the beamformer step's optimum (the C1-slack case
     of Zhang & Liang, IEEE JSTSP 2008), and the co-phased profile for it is
     the phase step's optimum when that keeps C1 too (see _solve_phases).
-    The phases are None when they are frozen.
+    The phase move is None when the phases are frozen.
     """
-    w = _mrt(model.su_row(state), scenario.p_max_w)
-    if w is None:
-        return None
-    state = state.with_beamformer(w)
-    if model.leak(state) > scenario.gamma_w:
+    a, b = rows
+    w = _mrt(a, scenario.p_max_w)
+    if w is None or model.leak(b, w) > scenario.gamma_w:
         return None
     if not update_phases:
         return w, None
-    phases = _cophased_within_cap(state, channels, scenario, model)
-    return None if phases is None else (w, phases)
+    move = _cophased_within_cap(state.with_beamformer(w), channels,
+                                scenario, model)
+    return None if move is None else (w, move)
 
 
 def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
@@ -219,13 +217,13 @@ def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
 
 
 def _cophased_within_cap(state: DesignState, channels: ChannelSet,
-                         scenario: Scenario,
-                         model: LinkModel) -> np.ndarray | None:
-    """The co-phased profile for the state's beamformer when it keeps C1,
-    else None."""
+                         scenario: Scenario, model: LinkModel):
+    """(phases, their rows) of the co-phased profile for the state's
+    beamformer when it keeps C1, else None."""
     phases = cophased_phases(state, channels)
-    if model.leak(state.with_phases(phases)) <= scenario.gamma_w:
-        return phases
+    rows = model.rows(phases)
+    if model.leak(rows[1], state.w_s) <= scenario.gamma_w:
+        return phases, rows
     return None
 
 
@@ -239,10 +237,11 @@ def _sdr_gap(problem: sdp.SdpProblem, bound: float,
     return (bound - value) / max(abs(bound), np.finfo(float).tiny), x
 
 
-def _solve_phases(state: DesignState, channels: ChannelSet,
+def _solve_phases(state: DesignState, rows: tuple, channels: ChannelSet,
                   scenario: Scenario, model: LinkModel, fallback_rng,
-                  diag: dict) -> np.ndarray:
-    """Phase step: the first of these recoveries that applies.
+                  diag: dict) -> tuple[np.ndarray, tuple]:
+    """Phase step: (phases, their rows), for the state and its ``rows``,
+    from the first of these recoveries that applies.
 
     1. Co-phase: the co-phased profile maximizes |a(alpha) w|^2 over all
        unit-modulus profiles, so when it keeps C1 it is the subproblem's
@@ -267,7 +266,7 @@ def _solve_phases(state: DesignState, channels: ChannelSet,
     relaxed = sdp.solve(problem)
     diag["phase_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
-        return state.phases
+        return state.phases, rows
     eigpair = sdp.principal_eigpair(relaxed.x)
     unit = srocr.project_unit_modulus(eigpair[1])
     phases = np.angle(unit[:-1] * unit[-1].conj())
@@ -288,7 +287,7 @@ def _solve_phases(state: DesignState, channels: ChannelSet,
         phases = np.angle(x[:-1])
         gap, _ = _sdr_gap(problem, relaxed.objective, phases)
     diag["phase_sdr_gap"] = gap
-    return phases
+    return phases, model.rows(phases)
 
 
 def run_algorithm1(channels: ChannelSet, scenario: Scenario,
@@ -309,10 +308,8 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     channels.validate(scenario)
     phases0 = (np.zeros(scenario.n_ris) if zero_phase_start
                else initial_phases(scenario.n_ris, seed))
-    if fixed_tilt_deg is not None:
-        tilt = TiltDecision(float(fixed_tilt_deg), "fixed", np.nan, np.nan)
-    else:
-        tilt = select_tilt(scenario)
+    tilt = (select_tilt(scenario) if fixed_tilt_deg is None else
+            TiltDecision(float(fixed_tilt_deg), "fixed", np.nan, np.nan))
     state = DesignState(np.zeros(scenario.n_s, dtype=complex), phases0,
                         tilt.theta_tilt_deg)
     model = link_model(state, channels, scenario,
@@ -320,21 +317,22 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     # built on the fallback's first draw; later ones continue the stream
     fallback_rng = functools.cache(lambda: stream_rng(seed, "randomization"))
 
-    def accept(cand: DesignState, current: DesignState, se: float):
+    def accept(cand: DesignState, cand_rows: tuple, kept: tuple):
         """Repair cand, then keep it only if the SE does not drop.
 
         A beamformer meets C1 and the budget only to the IPM's tolerance,
         and a phase move changes the effective PU row under the kept
         beamformer, so the beamformer is scaled down until both hold with
-        margin (or C1_REPAIR_PASSES more rescales have missed); returns
-        the kept state and its SE.
+        margin (or C1_REPAIR_PASSES more rescales have missed).  ``kept``
+        and the result are a (state, rows, SE) triple.
         """
+        a, b = cand_rows
         scale2 = 1.0
         power = float(np.vdot(cand.w_s, cand.w_s).real)
         if power > scenario.p_max_w:
             scale2 = min(scale2, scenario.p_max_w / power)
         cap = scenario.gamma_w * (1.0 - 1e-9)
-        leak = model.leak(cand)
+        leak = model.leak(b, cand.w_s)
         leak_rescaled = leak > cap
         if leak_rescaled:
             scale2 = min(scale2, cap / leak)
@@ -343,35 +341,37 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
         # where |b w| sits at the rounding floor of ||b|| ||w||, one
         # rescale can land above the cap; repeat it while it does
         for _ in range(C1_REPAIR_PASSES if leak_rescaled else 0):
-            leak = model.leak(cand)
+            leak = model.leak(b, cand.w_s)
             if leak <= scenario.gamma_w:
                 break
             cand = cand.with_beamformer(cand.w_s * np.sqrt(cap / leak))
-        se_cand = se_su(model.sinr(cand))
-        return (cand, se_cand) if se_cand >= se else (current, se)
+        se_cand = se_su(model.sinr(a, cand.w_s))
+        return (cand, cand_rows, se_cand) if se_cand >= kept[2] else kept
 
     se_now = 0.0       # the zero beamformer carries no signal
     se_prev = 0.0
     se_trace: list[float] = []
     diagnostics: list[dict] = []
     update_phases = update_phases and scenario.n_ris > 0
+    rows = model.rows(state.phases)    # the current phases' (a, b)
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
         start = state.phases.tobytes()
-        closed = _closed_form_step(state, channels, scenario, model,
+        closed = _closed_form_step(state, rows, channels, scenario, model,
                                    update_phases)
         diag["ws_step"] = "sdp" if closed is None else "mrt"
-        w, phases = closed or (_solve_ws(
-            build_ws_problem(state, channels, scenario, model), diag), None)
-        state, se_now = accept(state.with_beamformer(
-            state.w_s if w is None else w), state, se_now)
+        w, move = closed or (_solve_ws(
+            build_ws_problem(state, channels, scenario, rows), diag), None)
+        state, rows, se_now = accept(state.with_beamformer(
+            state.w_s if w is None else w), rows, (state, rows, se_now))
         if update_phases:
-            if phases is None:
-                phases = _solve_phases(state, channels, scenario, model,
-                                       fallback_rng, diag)
+            if move is None:
+                move = _solve_phases(state, rows, channels, scenario, model,
+                                     fallback_rng, diag)
             else:
                 diag["phase_recovery"] = "cophase"
-            state, se_now = accept(state.with_phases(phases), state, se_now)
+            state, rows, se_now = accept(state.with_phases(move[0]), move[1],
+                                         (state, rows, se_now))
         se_trace.append(se_now)
         diag["se"] = se_now
         diagnostics.append(diag)
@@ -392,7 +392,7 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
             diagnostics.append(dict(diag, iteration=t + 1, replayed=True))
             break
 
-    leak = model.leak(state)
+    leak = model.leak(rows[1], state.w_s)
     power = float(np.vdot(state.w_s, state.w_s).real)
     feasible = (leak <= scenario.gamma_w * (1.0 + 1e-6)
                 and power <= scenario.p_max_w * (1.0 + 1e-6))

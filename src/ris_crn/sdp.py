@@ -12,7 +12,8 @@ touches only X_pp: A(X) ends in Re diag X, A^T(y) adds Diag(y), and the
 Schur complement block of two such rows is Re(X_pq Zinv_qp), so the N+1
 rows cost O(n^2) per iteration in all (Helmberg, Rendl, Vanderbei &
 Wolkowicz, SIAM J. Optim. 1996).  Only the dense rows go through
-X A_j Zinv products.
+X A_j Zinv products.  The first ``solve`` of a process imports the LAPACK
+bindings, so a process that solves no SDP never loads scipy.linalg.
 
 Set-up runs once per solve: it scales every dense term to unit size (a
 unit-diagonal row already has it) and allocates the buffers that each
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, zpotrf, ztrtri
 
 HERM_TOL = 1e-12
 TOL = 1e-7          # relative residuals and gap of an optimal solve
@@ -184,6 +184,7 @@ def _schur_complement(x: np.ndarray, zinv: np.ndarray, amats: np.ndarray,
 
 def solve(problem: SdpProblem) -> SdpSolution:
     """Interior-point solve; deterministic for fixed inputs."""
+    from scipy.linalg.lapack import dgetrf, dgetrs, zpotrf, ztrtri
     n = problem.dim
     k = len(problem.a)                   # the dense "<=" rows come first
     unit_diagonal = problem.unit_diagonal

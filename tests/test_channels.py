@@ -1,15 +1,18 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from ris_crn import channels as channels_module
 from ris_crn.channels import (ChannelError, generate_channels, los_matrix,
                               path_loss_amplitude, pbs_beamformer,
-                              rician_sample, ula_steering)
+                              rician_sample, stream_rng, ula_steering)
 from ris_crn.optimizer import run_algorithm1
-from ris_crn.scenario import ChannelParams, apply_overrides
+from ris_crn.scenario import ChannelParams, apply_overrides, elevation_deg
 
 CP = ChannelParams(zeta0_db=-30.0, d0_m=1.0, alpha=3.0, rician_k=1.0)
+LINKS = ("G", "u", "v", "h_s", "h_p", "f_p", "f_s")
 
 
 def test_path_loss_reference_distance():
@@ -78,8 +81,93 @@ def test_rician_rejects_negative_k(rng):
 def test_generate_same_seed_is_identical(scenario):
     a = generate_channels(scenario, seed=5)
     b = generate_channels(scenario, seed=5)
-    for name in ("G", "u", "v", "h_s", "h_p", "f_p", "f_s"):
+    for name in LINKS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+# sha256 prefixes of every drawn array, recorded before the per-geometry
+# link terms were cached; the empty digest e3b0... is an N=0 link's
+PINNED_DRAWS = {
+    ("paper_default", 0): "74571c938a396d02 62da19c636a4cedb 5cd61539eb61f0fc "
+    "df29ddebaa112639 9f7b08393ab4a46f cb98003a9e05b410 46cf11cf2575cc2d",
+    ("paper_default", 7): "0fc724f2fb7bd5ef a6b63eb2d687ff40 315fbb2b4f7d090a "
+    "b3d1710bf0c1a1c1 fbc351f0fea0a44d 79a315cb861b6716 a857a8ae375e4b9e",
+    ("paper_default", 1_000_000): "55dfb36212c3e3db ee4f99b8ea1af916 "
+    "362b8e41bebfae28 2bf99dcb06095955 98d4c366d2e3df44 3cf6194a68d46987 "
+    "2f814dc5e6bcc181",
+    ("iid-ns4", 0): "66c2dc823dbd2b4a 9019b1ff3e937ccf 24c57e224c4b8a62 "
+    "9495fd0b9e0f695f a7433d23ee4ec1d4 daa664560a927afd 8e10ee3966e5301c",
+    ("iid-ns4", 7): "ce473638c3c8cf33 8c5a4837846fe6c5 2c707c7c7db89075 "
+    "a75edf8612befef4 0bb2e3b27aae79f5 a070d1783ab607d4 1d611f8228de4522",
+    ("iid-ns4", 1_000_000): "89794c32961dbc91 a4cafef485986001 "
+    "8e0998d754cff629 30e5d4c528782319 7fe733066ac7ae8b 7a19f2be8daf3c38 "
+    "69eed80b33fee8e9",
+    ("no-ris", 0): "e3b0c44298fc1c14 e3b0c44298fc1c14 e3b0c44298fc1c14 "
+    "df29ddebaa112639 9f7b08393ab4a46f cb98003a9e05b410 46cf11cf2575cc2d",
+    ("no-ris", 7): "e3b0c44298fc1c14 e3b0c44298fc1c14 e3b0c44298fc1c14 "
+    "b3d1710bf0c1a1c1 fbc351f0fea0a44d 79a315cb861b6716 a857a8ae375e4b9e",
+    ("no-ris", 1_000_000): "e3b0c44298fc1c14 e3b0c44298fc1c14 "
+    "e3b0c44298fc1c14 2bf99dcb06095955 98d4c366d2e3df44 3cf6194a68d46987 "
+    "2f814dc5e6bcc181",
+}
+
+DRAW_CASES = {"paper_default": {}, "no-ris": {"n_ris": 0},
+              "iid-ns4": {"channel": {"iid_mode": True}, "n_s": 4}}
+
+
+def _digests(ch):
+    return " ".join(
+        hashlib.sha256(getattr(ch, name).tobytes()).hexdigest()[:16]
+        for name in LINKS)
+
+
+@pytest.mark.parametrize("case, seed", list(PINNED_DRAWS))
+def test_draws_pinned(case, seed, scenario):
+    """Every array of a draw is the same bytes as before the link terms
+    were cached, on the first draw of a geometry and on a repeat."""
+    sc = apply_overrides(scenario, DRAW_CASES[case])
+    for _ in range(2):
+        assert _digests(generate_channels(sc, seed=seed)) == PINNED_DRAWS[
+            case, seed]
+
+
+def test_draw_matches_rician_reference(scenario):
+    """Each path-loss link is pl * rician_sample(...) on the link's LOS
+    matrix and seed stream, bit for bit, with the link terms cached."""
+    pos, cp = scenario.positions, scenario.channel
+    n, n_s = scenario.n_ris, scenario.n_s
+    for seed in (0, 3):
+        ch = generate_channels(scenario, seed=seed)
+        for name, rows, cols, src, dst in (("G", n, n_s, "sbs", "ris"),
+                                           ("u", n, 1, "ris", "su"),
+                                           ("h_s", n_s, 1, "sbs", "su")):
+            a, b = pos[src], pos[dst]
+            los = los_matrix(rows, cols, elevation_deg(a, b))
+            ref = path_loss_amplitude(a.distance_to(b), cp) * rician_sample(
+                rows, cols, cp.rician_k, los, stream_rng(seed, name))
+            assert getattr(ch, name).tobytes() == ref.reshape(
+                getattr(ch, name).shape).tobytes()
+
+
+def test_writing_a_draw_leaves_the_next_unchanged(scenario):
+    first = generate_channels(scenario, seed=0)
+    for name in LINKS:
+        getattr(first, name)[...] = 1.0 + 1.0j
+    assert (_digests(generate_channels(scenario, seed=0))
+            == PINNED_DRAWS["paper_default", 0])
+
+
+def test_cached_link_terms_read_only(scenario):
+    generate_channels(scenario, seed=0)
+    pos = scenario.positions
+    pl, los_term = channels_module._link_terms(
+        scenario.n_ris, scenario.n_s, pos["sbs"], pos["ris"], scenario.channel)
+    assert channels_module._link_terms.cache_info().hits > 0
+    assert not los_term.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        los_term[0, 0] = 0.0
+    assert pl == path_loss_amplitude(pos["sbs"].distance_to(pos["ris"]),
+                                     scenario.channel)
 
 
 def test_generate_different_seed_differs(scenario):

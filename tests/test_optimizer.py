@@ -383,7 +383,7 @@ def test_c1_slack_iterations_take_closed_form(case, scenario, iid_scenario,
     assert log == []
     assert all(d["ws_step"] == "mrt" and d["phase_recovery"] == "cophase"
                and "ws_sdp_status" not in d for d in res.diagnostics)
-    before, (w, phases) = taken[-1]
+    before, (w, (phases, _)) = taken[-1]
     a = effective_su_row(before, ch, sc)
     np.testing.assert_allclose(
         w, np.sqrt(sc.p_max_w) * a.conj() / np.linalg.norm(a), rtol=1e-12)
@@ -531,10 +531,11 @@ def test_certified_phase_step_is_feasible_and_optimal(iid_scenario,
     steps = []
     real = optimizer._solve_phases
 
-    def spy(state, channels, scenario, model, fallback_rng, diag):
-        phases = real(state, channels, scenario, model, fallback_rng, diag)
-        steps.append((state, channels, diag, phases))
-        return phases
+    def spy(state, rows, channels, scenario, model, fallback_rng, diag):
+        move = real(state, rows, channels, scenario, model, fallback_rng,
+                    diag)
+        steps.append((state, channels, diag, move[0]))
+        return move
 
     monkeypatch.setattr(optimizer, "_solve_phases", spy)
     certified = {}
@@ -822,6 +823,26 @@ def test_pattern_gains_evaluated_once_per_call(case, request, monkeypatch):
                          update_phases=update)
     assert res.outer_iterations > 1
     assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("case", ["pathloss-0", "iid-ns4-30deg"])
+def test_rows_formed_once_per_phase_profile(case, request, monkeypatch):
+    """Within a call only the phases and the beamformer move, so the loop
+    carries each phase profile's rows and forms the two cascade products
+    (SU and PU) at most once per distinct profile."""
+    sc, ch, seed, tilt, update = _loop_case(request, case)
+    profiles = []
+    real = metrics.LinkModel.rows
+
+    def spy(self, phases):
+        profiles.append(phases.tobytes())
+        return real(self, phases)
+
+    monkeypatch.setattr(metrics.LinkModel, "rows", spy)
+    res = run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=tilt,
+                         update_phases=update)
+    assert res.outer_iterations > 1
+    assert 2 * len(profiles) <= 2 * len(set(profiles))
 
 
 @pytest.mark.parametrize("case", list(LOOP_CASES))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ris_crn
 from ris_crn import sdp
 from ris_crn.sdp import (SdpProblem, _max_steps, _schur_complement,
                          _unit_scale, check_hermitian, principal_eigpair,
@@ -304,3 +310,31 @@ def test_eigpair_canonical_phase(rng):
     first = q[np.flatnonzero(np.abs(q) > 1e-9)[0]]
     assert abs(first.imag) <= 1e-12 * abs(first)
     assert first.real > 0
+
+
+LAPACK_PROBE = """
+import sys
+from ris_crn import run_algorithm1
+from ris_crn.channels import generate_channels
+from ris_crn.scenario import apply_overrides, paper_default
+sc = paper_default()
+for seed in range(20):
+    run_algorithm1(generate_channels(sc, seed=seed), sc, seed=seed)
+print("scipy.linalg" in sys.modules)
+iid = apply_overrides(sc, {"channel": {"iid_mode": True}, "n_s": 4})
+run_algorithm1(generate_channels(iid, seed=2), iid, seed=2,
+               fixed_tilt_deg=-30.0)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_lapack_loaded_by_first_solve():
+    """A process loads scipy.linalg when it solves its first SDP: not on
+    import, nor in 20 path-loss solves (all closed form), but in an iid
+    -30 deg solve, whose C1-binding steps solve SDPs."""
+    src = str(Path(ris_crn.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", LAPACK_PROBE],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.split() == ["False", "True"]
