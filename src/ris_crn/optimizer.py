@@ -25,7 +25,6 @@ that would repeat it, and not run again.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,24 +150,6 @@ def initial_phases(n_ris: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, size=n_ris)
 
 
-def _solve_ws(problem: sdp.SdpProblem, diag: dict) -> np.ndarray | None:
-    """Beamformer step on ``build_ws_problem``'s relaxation: sqrt(lambda_1)
-    q_1 of the relaxed X, or None (the beamformer is kept) when the
-    relaxation is not solved to optimality.
-
-    Tightness: a complex SDP with two constraints has a rank-one optimum
-    (rank(X)^2 <= 2; Huang & Palomar, IEEE TSP 2010).  Feasibility:
-    lambda_1 q_1 q_1^H <= X, so the vector meets both PSD "<=" constraints
-    whenever X does, even for a non-rank-one X.
-    """
-    relaxed = sdp.solve(problem)
-    diag["ws_sdp_status"] = relaxed.status
-    if relaxed.status != "optimal":
-        return None
-    lam, q = sdp.principal_eigpair(relaxed.x)
-    return np.sqrt(max(lam, 0.0)) * q
-
-
 def _mrt(a: np.ndarray, p_max_w: float) -> np.ndarray | None:
     """Maximum-ratio transmission at full power, sqrt(P) a^H / ||a||, or
     None for a zero row.  The row is scaled by its largest entry first, so
@@ -180,27 +161,41 @@ def _mrt(a: np.ndarray, p_max_w: float) -> np.ndarray | None:
     return np.sqrt(p_max_w) * unit / np.linalg.norm(unit)
 
 
-def _closed_form_step(state: DesignState, rows: tuple, channels: ChannelSet,
-                      scenario: Scenario, model: LinkModel,
-                      update_phases: bool):
-    """(beamformer, (phases, their rows)) of an outer iteration in which C1
-    binds at neither block, or None; ``rows`` are the state's.
+def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
+                     scenario: Scenario, model: LinkModel,
+                     update_phases: bool, diag: dict):
+    """Beamformer step for the state and its ``rows``: (w, move), where
+    ``move`` is (phases, their rows) of a closed-form phase step or None.
 
-    MRT maximizes |a w|^2 over ||w||^2 <= P, so when it keeps C1 under the
-    current phases it is the beamformer step's optimum (the C1-slack case
-    of Zhang & Liang, IEEE JSTSP 2008), and the co-phased profile for it is
-    the phase step's optimum when that keeps C1 too (see _solve_phases).
-    The phase move is None when the phases are frozen.
+    MRT maximizes |a w|^2 over ||w||^2 <= P, so when it keeps C1 it is the
+    step's optimum (the C1-slack case of Zhang & Liang, IEEE JSTSP 2008),
+    and the co-phased profile for it is the phase step's optimum when that
+    keeps C1 too (see _solve_phases).  Both are taken when C1 binds at
+    neither block, MRT alone when the phases are frozen.  Otherwise w is
+    sqrt(lambda_1) q_1 of ``build_ws_problem``'s relaxed X, or the state's
+    beamformer when the relaxation is not solved to optimality.  The
+    relaxation is tight: a complex SDP with two constraints has a rank-one
+    optimum (Huang & Palomar, IEEE TSP 2010), and lambda_1 q_1 q_1^H <= X,
+    so the vector meets both constraints whenever X does.
     """
     a, b = rows
     w = _mrt(a, scenario.p_max_w)
-    if w is None or model.leak(b, w) > scenario.gamma_w:
-        return None
-    if not update_phases:
-        return w, None
-    move = _cophased_within_cap(state.with_beamformer(w), channels,
-                                scenario, model)
-    return None if move is None else (w, move)
+    if w is not None and model.leak(b, w) <= scenario.gamma_w:
+        move = (_cophased_within_cap(state.with_beamformer(w), channels,
+                                     scenario, model)
+                if update_phases else None)
+        if move is not None or not update_phases:
+            diag["ws_step"] = "mrt"
+            if move is not None:
+                diag["phase_recovery"] = "cophase"
+            return w, move
+    diag["ws_step"] = "sdp"
+    relaxed = sdp.solve(build_ws_problem(state, channels, scenario, rows))
+    diag["ws_sdp_status"] = relaxed.status
+    if relaxed.status != "optimal":
+        return state.w_s, None
+    lam, q = sdp.principal_eigpair(relaxed.x)
+    return np.sqrt(max(lam, 0.0)) * q, None
 
 
 def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
@@ -238,7 +233,7 @@ def _sdr_gap(problem: sdp.SdpProblem, bound: float,
 
 
 def _solve_phases(state: DesignState, rows: tuple, channels: ChannelSet,
-                  scenario: Scenario, model: LinkModel, fallback_rng,
+                  scenario: Scenario, model: LinkModel, seed: int,
                   diag: dict) -> tuple[np.ndarray, tuple]:
     """Phase step: (phases, their rows), for the state and its ``rows``,
     from the first of these recoveries that applies.
@@ -253,7 +248,9 @@ def _solve_phases(state: DesignState, rows: tuple, channels: ChannelSet,
        subproblem (Huang & Palomar, IEEE TSP 2010; Wu & Zhang, IEEE TWC
        2019).
     3. SROCR, from that same eigenpair.
-    4. Gaussian randomization from ``fallback_rng()``, where SROCR stalls.
+    4. Gaussian randomization where SROCR stalls, drawn afresh from the
+       trial ``seed``'s randomization stream each time, so the step is a
+       function of the state alone.
 
     ``phase_sdr_gap`` is the relative gap to tr(H1 X) of the phases taken,
     on every step that solved the relaxation.
@@ -282,7 +279,8 @@ def _solve_phases(state: DesignState, rows: tuple, channels: ChannelSet,
             x = srocr.extract_vector(result, "phases")
             diag["phase_recovery"] = "srocr"
         else:
-            x = srocr.randomize_phases(problem, relaxed.x, fallback_rng())
+            x = srocr.randomize_phases(
+                problem, relaxed.x, stream_rng(seed, "randomization"))
             diag["phase_recovery"] = "randomization"
         phases = np.angle(x[:-1])
         gap, _ = _sdr_gap(problem, relaxed.objective, phases)
@@ -314,8 +312,6 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
                         tilt.theta_tilt_deg)
     model = link_model(state, channels, scenario,
                        pbs_beamformer(channels.h_p, scenario.pp_dbw))
-    # built on the fallback's first draw; later ones continue the stream
-    fallback_rng = functools.cache(lambda: stream_rng(seed, "randomization"))
 
     def accept(cand: DesignState, cand_rows: tuple, kept: tuple):
         """Repair cand, then keep it only if the SE does not drop.
@@ -357,19 +353,13 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
         start = state.phases.tobytes()
-        closed = _closed_form_step(state, rows, channels, scenario, model,
-                                   update_phases)
-        diag["ws_step"] = "sdp" if closed is None else "mrt"
-        w, move = closed or (_solve_ws(
-            build_ws_problem(state, channels, scenario, rows), diag), None)
-        state, rows, se_now = accept(state.with_beamformer(
-            state.w_s if w is None else w), rows, (state, rows, se_now))
+        w, move = _beamformer_step(state, rows, channels, scenario, model,
+                                   update_phases, diag)
+        state, rows, se_now = accept(state.with_beamformer(w), rows,
+                                     (state, rows, se_now))
         if update_phases:
-            if move is None:
-                move = _solve_phases(state, rows, channels, scenario, model,
-                                     fallback_rng, diag)
-            else:
-                diag["phase_recovery"] = "cophase"
+            move = move or _solve_phases(state, rows, channels, scenario,
+                                         model, seed, diag)
             state, rows, se_now = accept(state.with_phases(move[0]), move[1],
                                          (state, rows, se_now))
         se_trace.append(se_now)
@@ -382,12 +372,11 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
         if err < EPSILON:
             break
         # The beamformer step depends only on the phases it starts from and
-        # the phase step only on the state the beamformer step leaves, so an
-        # iteration that ends at the phases it started from is a fixed point:
-        # the next would repeat it and stop with gain 0.  It is recorded, not
-        # run, unless its phase step drew from the randomization stream.
-        if (t < MAX_OUTER_ITERS and state.phases.tobytes() == start
-                and diag.get("phase_recovery") != "randomization"):
+        # the phase step only on the state the beamformer step leaves (its
+        # randomization draws afresh from the seed), so an iteration that
+        # ends at the phases it started from is a fixed point: the next
+        # would repeat it and stop with gain 0.  It is recorded, not run.
+        if t < MAX_OUTER_ITERS and state.phases.tobytes() == start:
             se_trace.append(se_now)
             diagnostics.append(dict(diag, iteration=t + 1, replayed=True))
             break

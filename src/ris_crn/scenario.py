@@ -193,9 +193,6 @@ class Scenario:
     def noise_w(self) -> float:
         return dbm_to_watts(self.noise_dbm)
 
-    def replace(self, **kwargs) -> "Scenario":
-        return dataclasses.replace(self, **kwargs)
-
 
 def elevation_deg(src: NodePosition, dst: NodePosition) -> float:
     """Elevation of dst seen from src; negative when dst lies below src."""

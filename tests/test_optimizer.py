@@ -108,6 +108,16 @@ def _zhang_liang_beamformer(a, b, p, gamma):
             + np.sqrt(p - s ** 2) * a_perp / np.linalg.norm(a_perp))
 
 
+def _assert_step_optimal(w, state, ch, sc):
+    """w meets the budget and C1 and reaches the closed form's |a w|^2."""
+    a = effective_su_row(state, ch, sc)
+    b = effective_pu_row(state, ch, sc)
+    assert np.vdot(w, w).real <= sc.p_max_w * (1 + 1e-6)
+    assert abs(b @ w) ** 2 <= sc.gamma_w * (1 + 1e-6)
+    oracle = _zhang_liang_beamformer(a, b, sc.p_max_w, sc.gamma_w)
+    assert abs(a @ w) ** 2 == pytest.approx(abs(a @ oracle) ** 2, rel=1e-6)
+
+
 @pytest.mark.parametrize("cap", ["slack", "binding"])
 @pytest.mark.parametrize("n_s,tilt", [
     pytest.param(n_s, tilt, id=f"iid-ns{n_s}{tilt:+.0f}deg")
@@ -115,9 +125,9 @@ def _zhang_liang_beamformer(a, b, p, gamma):
     + [pytest.param(None, None, id="pathloss")])
 def test_beamformer_step_matches_closed_form(n_s, tilt, cap, scenario,
                                              iid_scenario):
-    """The step's sqrt(lambda_1) q_1 is the subproblem's exact optimum and
-    is feasible as it comes out of the relaxation, with C1 slack (Gamma =
-    1e9) and binding (Gamma a tenth of the MRT leak)."""
+    """The step is the subproblem's exact optimum and is feasible as it
+    comes out, with C1 slack (Gamma = 1e9: MRT) and binding (Gamma a tenth
+    of the MRT leak: sqrt(lambda_1) q_1 of the relaxation)."""
     if n_s is None:
         sc, tilt = scenario, select_tilt(scenario).theta_tilt_deg
     else:
@@ -130,11 +140,13 @@ def test_beamformer_step_matches_closed_form(n_s, tilt, cap, scenario,
     w_mrt = np.sqrt(sc.p_max_w) * a.conj() / np.linalg.norm(a)
     gamma = 1e9 if cap == "slack" else 0.1 * abs(b @ w_mrt) ** 2
     sc = apply_overrides(sc, {"gamma_w": float(gamma)})
-    w = optimizer._solve_ws(build_ws_problem(state, ch, sc), {})
-    assert np.vdot(w, w).real <= sc.p_max_w * (1 + 1e-6)
-    assert abs(b @ w) ** 2 <= sc.gamma_w * (1 + 1e-6)
-    oracle = _zhang_liang_beamformer(a, b, sc.p_max_w, sc.gamma_w)
-    assert abs(a @ w) ** 2 == pytest.approx(abs(a @ oracle) ** 2, rel=1e-6)
+    model = metrics.link_model(state, ch, sc, pbs_beamformer(ch.h_p,
+                                                             sc.pp_dbw))
+    diag = {}
+    w, _ = optimizer._beamformer_step(state, model.rows(state.phases), ch, sc,
+                                      model, True, diag)
+    assert diag["ws_step"] == ("mrt" if cap == "slack" else "sdp")
+    _assert_step_optimal(w, state, ch, sc)
 
 
 @pytest.mark.parametrize("n_s", [2, 4])
@@ -148,14 +160,14 @@ def test_zero_signal_beamformer_step(n_s, iid_scenario, monkeypatch):
     ch = dataclasses.replace(ch, h_s=np.zeros_like(ch.h_s),
                              G=np.zeros_like(ch.G))
     steps = []
-    real_ws = optimizer._solve_ws
+    real_step = optimizer._beamformer_step
 
-    def ws_spy(problem, diag):
-        w = real_ws(problem, diag)
+    def step_spy(*args):
+        w, move = real_step(*args)
         steps.append(w)
-        return w
+        return w, move
 
-    monkeypatch.setattr(optimizer, "_solve_ws", ws_spy)
+    monkeypatch.setattr(optimizer, "_beamformer_step", step_spy)
     log = _solve_log(monkeypatch)
     res = run_algorithm1(ch, sc, seed=0, fixed_tilt_deg=-30.0)
     assert len(log) == 1
@@ -370,14 +382,14 @@ def test_c1_slack_iterations_take_closed_form(case, scenario, iid_scenario,
                                                       {"n_s": n_s})
     ch = generate_channels(sc, seed=seed)
     taken = []
-    real = optimizer._closed_form_step
+    real = optimizer._beamformer_step
 
     def spy(state, *args):
         step = real(state, *args)
         taken.append((state, step))
         return step
 
-    monkeypatch.setattr(optimizer, "_closed_form_step", spy)
+    monkeypatch.setattr(optimizer, "_beamformer_step", spy)
     log = _solve_log(monkeypatch)
     res = run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=tilt)
     assert log == []
@@ -402,20 +414,25 @@ def test_c1_binding_phase_step_keeps_beamformer_sdp(iid_scenario,
     """An iteration whose MRT keeps C1 but whose co-phased profile for it
     does not runs the beamformer SDP and the phase SDP as before, so every
     iteration of the iid n_s=4 trial at -30 deg, seed 2, has both solves,
-    and some of them start from such a slack MRT."""
+    and some of them start from such a slack MRT.  There the relaxation has
+    C1 slack at the beamformer, and its sqrt(lambda_1) q_1 reaches MRT's
+    optimum."""
     sc = apply_overrides(iid_scenario, {"n_s": 4})
     ch = generate_channels(sc, seed=2)
     mrt_slack = []
-    real = optimizer._closed_form_step
+    real = optimizer._beamformer_step
 
     def spy(state, *args):
         a = effective_su_row(state, ch, sc)
         mrt = state.with_beamformer(np.sqrt(sc.p_max_w) * a.conj()
                                     / np.linalg.norm(a))
         mrt_slack.append(pu_interference(mrt, ch, sc) <= sc.gamma_w)
-        return real(state, *args)
+        step = real(state, *args)
+        if mrt_slack[-1]:
+            _assert_step_optimal(step[0], state, ch, sc)
+        return step
 
-    monkeypatch.setattr(optimizer, "_closed_form_step", spy)
+    monkeypatch.setattr(optimizer, "_beamformer_step", spy)
     log = _solve_log(monkeypatch)
     res = run_algorithm1(ch, sc, seed=2, fixed_tilt_deg=-30.0)
     assert any(mrt_slack)
@@ -531,9 +548,8 @@ def test_certified_phase_step_is_feasible_and_optimal(iid_scenario,
     steps = []
     real = optimizer._solve_phases
 
-    def spy(state, rows, channels, scenario, model, fallback_rng, diag):
-        move = real(state, rows, channels, scenario, model, fallback_rng,
-                    diag)
+    def spy(state, rows, channels, scenario, model, seed, diag):
+        move = real(state, rows, channels, scenario, model, seed, diag)
         steps.append((state, channels, diag, move[0]))
         return move
 
@@ -875,10 +891,11 @@ def test_loop_agrees_bitwise_with_public_evaluators(case, request,
             problem.a[0], sdp.check_hermitian(np.outer(b.conj(), b)))
 
 
-def test_randomization_stream_built_on_first_fallback(iid_scenario,
-                                                      monkeypatch):
-    """The randomization stream is made only when the fallback first runs,
-    and every later fallback step of the call continues that one stream.
+def test_randomization_draws_afresh_from_trial_seed(iid_scenario,
+                                                   monkeypatch):
+    """A run whose phase steps never randomize makes no randomization
+    stream, and every fallback step draws from a fresh stream_rng(seed,
+    "randomization"), so the step is a function of the state alone.
     Forcing SROCR to fail on the seed-7 trial at -30 deg (no step of which
     certifies) sends each C1-binding phase step to the fallback."""
     sc = apply_overrides(iid_scenario, {"n_s": 4})
@@ -900,15 +917,44 @@ def test_randomization_stream_built_on_first_fallback(iid_scenario,
     drawn = []
 
     def randomize_spy(problem, relaxed_x, rng):
-        drawn.append((rng, rng.bit_generator.state))
+        drawn.append(rng.bit_generator.state)
         return real_randomize(problem, relaxed_x, rng)
 
     monkeypatch.setattr(srocr, "randomize_phases", randomize_spy)
     streams.clear()
     res = run_algorithm1(ch, sc, seed=7, fixed_tilt_deg=-30.0)
-    assert streams.count("randomization") == 1
-    assert len(drawn) > 1 and all(rng is drawn[0][0] for rng, _ in drawn)
-    assert drawn[0][1] == stream_rng(7, "randomization").bit_generator.state
-    assert drawn[1][1] != drawn[0][1]
-    assert sum(d.get("phase_recovery") == "randomization"
-               for d in res.diagnostics) == len(drawn)
+    fresh = stream_rng(7, "randomization").bit_generator.state
+    assert len(drawn) > 1 and all(state == fresh for state in drawn)
+    assert streams.count("randomization") == len(drawn)
+    randomized = [d for d in res.diagnostics if not d.get("replayed")
+                  and d.get("phase_recovery") == "randomization"]
+    assert len(randomized) == len(drawn)
+
+
+def test_randomization_fallback_runs_unforced(iid_scenario):
+    """SROCR stalls on real instances too: on iid n_s=8, N=2 at -40 deg,
+    seed 8, the second phase step falls back to randomization, and the run
+    stays feasible with a non-decreasing trace."""
+    sc = apply_overrides(iid_scenario, {"n_s": 8, "n_ris": 2})
+    res = run_algorithm1(generate_channels(sc, seed=8), sc, seed=8,
+                         fixed_tilt_deg=-40.0)
+    assert [d["phase_recovery"] for d in res.diagnostics] == [
+        "srocr", "randomization"]
+    assert res.feasible
+    assert all(b >= a for a, b in zip(res.se_trace, res.se_trace[1:]))
+
+
+def test_rejected_randomized_step_is_replayed_not_solved(iid_scenario,
+                                                        monkeypatch):
+    """On iid n_s=8, Gamma = 1e-12, -30 deg, seed 8, the first iteration's
+    randomized phase step is rejected, so the iteration ends at the phases
+    it started from.  That fixed point is recorded as a replay; the loop
+    that ran it again drew the same trace from 50 SDP solves, not 25."""
+    sc = apply_overrides(iid_scenario, {"n_s": 8, "gamma_w": 1e-12})
+    log = _solve_log(monkeypatch)
+    res = run_algorithm1(generate_channels(sc, seed=8), sc, seed=8,
+                         fixed_tilt_deg=-30.0)
+    assert res.se_trace == [0.014177457583096069, 0.014177457583096069]
+    assert res.diagnostics[-1]["replayed"]
+    assert res.diagnostics[-1]["phase_recovery"] == "randomization"
+    assert len(log) == 25

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -127,12 +128,12 @@ def test_bad_sizes_rejected(scenario, key, value):
 
 def test_angle_out_of_range_rejected(scenario):
     with pytest.raises(ScenarioError, match="theta_d_deg"):
-        scenario.replace(theta_d_deg=30.0)
+        dataclasses.replace(scenario, theta_d_deg=30.0)
 
 
 def test_nonpositive_interference_cap_rejected(scenario):
     with pytest.raises(ScenarioError, match="gamma_w"):
-        scenario.replace(gamma_w=0.0)
+        dataclasses.replace(scenario, gamma_w=0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

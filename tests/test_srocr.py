@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ def test_refined_vector_is_eigpair_of_returned_x(iid_scenario):
 def test_beamformer_matches_closed_form_mrt(iid_scenario, rng):
     """With the interference cap inactive the optimum is max-ratio
     transmission at full power: objective P ||a||^2."""
-    sc = iid_scenario.replace(gamma_w=1e9)
+    sc = dataclasses.replace(iid_scenario, gamma_w=1e9)
     ch = generate_channels(sc, seed=11)
     state = DesignState(np.zeros(sc.n_s, dtype=complex),
                         rng.uniform(0, 2 * np.pi, sc.n_ris), sc.theta_r_deg)
@@ -78,8 +80,8 @@ def test_beamformer_matches_closed_form_mrt(iid_scenario, rng):
 
 
 def test_phase_refinement_matches_2d_grid(iid_scenario, rng):
-    sc = iid_scenario.replace(gamma_w=1e9)
-    sc = sc.replace(n_ris=2)
+    sc = dataclasses.replace(iid_scenario, gamma_w=1e9)
+    sc = dataclasses.replace(sc, n_ris=2)
     ch = generate_channels(sc, seed=21)
     w = rng.standard_normal(sc.n_s) + 1j * rng.standard_normal(sc.n_s)
     w *= np.sqrt(sc.p_max_w) / np.linalg.norm(w)
@@ -145,7 +147,7 @@ def test_refine_output_respects_original_constraints(iid_scenario, rng):
 
 
 def test_randomization_fallback_feasible(iid_scenario, rng):
-    sc = iid_scenario.replace(gamma_w=1e9)
+    sc = dataclasses.replace(iid_scenario, gamma_w=1e9)
     ch = generate_channels(sc, seed=44)
     w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     w *= np.sqrt(sc.p_max_w) / np.linalg.norm(w)
