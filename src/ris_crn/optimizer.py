@@ -2,14 +2,15 @@
 
 The loop fixes the tilt first (pointing at the RIS when the expected
 reflected power beats the expected direct power), then alternates between
-the beamformer step and the phase step.  An outer iteration in which the
-interference cap C1 binds at neither block is solved in closed form:
-maximum-ratio transmission (MRT) at full power, then the phase profile that
-co-phases every reflected path with the direct one, each the global optimum
-of its step while it keeps C1.  Every other iteration takes the principal
-eigenvector of the beamformer's tight semidefinite relaxation, then the
-same co-phased profile where it keeps C1.  Only where it does not does the
-phase step solve a relaxation: an SDP whose one dense row is C1 and whose
+the beamformer step and the phase step.  The beamformer step is
+maximum-ratio transmission (MRT) at full power where that keeps the
+interference cap C1, and the optimum with C1 at its cap where it does not
+(Zhang & Liang, IEEE JSTSP 2008); the phase step co-phases every reflected
+path with the direct one where that keeps C1.  Each is then its step's
+global optimum.  Only where MRT keeps C1 and its co-phased profile does
+not does the beamformer step take the principal eigenvector of its tight
+semidefinite relaxation.  A phase step whose co-phased profile breaks C1
+solves a relaxation: an SDP whose one dense row is C1 and whose
 unit-modulus entries are the solver's implicit unit diagonal.  Its
 principal eigenvector, projected to unit modulus, is taken when it keeps
 C1 and reaches the relaxation's bound (a certified global optimum);
@@ -161,34 +162,53 @@ def _mrt(a: np.ndarray, p_max_w: float) -> np.ndarray | None:
     return np.sqrt(p_max_w) * unit / np.linalg.norm(unit)
 
 
+def _c1_capped(w_mrt: np.ndarray, b: np.ndarray, scenario: Scenario):
+    """argmax |a w|^2 s.t. |b w|^2 <= Gamma, ||w||^2 <= P where the MRT
+    ``w_mrt`` breaks C1 (Zhang & Liang, IEEE JSTSP 2008): sqrt(Gamma)/||b||
+    on b_hat = b^H/||b||, in phase with b_hat^H a^H, and the rest of the
+    power on the part of a^H orthogonal to b_hat, taken with two
+    Gram-Schmidt passes and dropped below 1e-12 ||a|| (parallel rows)."""
+    b_hat = _mrt(b, 1.0)
+    along = np.vdot(b_hat, w_mrt)
+    perp = w_mrt - along * b_hat
+    perp = perp - np.vdot(b_hat, perp) * b_hat
+    s = np.sqrt(scenario.gamma_w) / abs(np.dot(b, b_hat))
+    w = s * np.exp(1j * np.angle(along)) * b_hat
+    rest = np.linalg.norm(perp)
+    if rest > 1e-12 * np.sqrt(scenario.p_max_w):
+        w = w + np.sqrt(max(scenario.p_max_w - s * s, 0.0)) * perp / rest
+    return w
+
+
 def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
                      scenario: Scenario, model: LinkModel,
                      update_phases: bool, diag: dict):
     """Beamformer step for the state and its ``rows``: (w, move), where
     ``move`` is (phases, their rows) of a closed-form phase step or None.
 
-    MRT maximizes |a w|^2 over ||w||^2 <= P, so when it keeps C1 it is the
-    step's optimum (the C1-slack case of Zhang & Liang, IEEE JSTSP 2008),
-    and the co-phased profile for it is the phase step's optimum when that
-    keeps C1 too (see _solve_phases).  Both are taken when C1 binds at
-    neither block, MRT alone when the phases are frozen.  Otherwise w is
+    MRT when it keeps C1 (it maximizes |a w|^2 over ||w||^2 <= P), with
+    the co-phased profile for it when that keeps C1 too (see _solve_phases)
+    or alone when the phases are frozen; _c1_capped where MRT breaks C1.
+    Otherwise (a zero SU row, or a co-phased profile that breaks C1) w is
     sqrt(lambda_1) q_1 of ``build_ws_problem``'s relaxed X, or the state's
     beamformer when the relaxation is not solved to optimality.  The
-    relaxation is tight: a complex SDP with two constraints has a rank-one
-    optimum (Huang & Palomar, IEEE TSP 2010), and lambda_1 q_1 q_1^H <= X,
-    so the vector meets both constraints whenever X does.
+    relaxation is tight (a complex SDP with two constraints has a rank-one
+    optimum: Huang & Palomar, IEEE TSP 2010), and lambda_1 q_1 q_1^H <= X
+    meets both constraints whenever X does.
     """
     a, b = rows
     w = _mrt(a, scenario.p_max_w)
-    if w is not None and model.leak(b, w) <= scenario.gamma_w:
-        move = (_cophased_within_cap(state.with_beamformer(w), channels,
-                                     scenario, model)
-                if update_phases else None)
-        if move is not None or not update_phases:
-            diag["ws_step"] = "mrt"
-            if move is not None:
-                diag["phase_recovery"] = "cophase"
-            return w, move
+    if w is not None and model.leak(b, w) > scenario.gamma_w:
+        diag["ws_step"] = "closed-form"
+        return _c1_capped(w, b, scenario), None
+    move = (_cophased_within_cap(state.with_beamformer(w), channels,
+                                 scenario, model)
+            if update_phases and w is not None else None)
+    if w is not None and (move is not None or not update_phases):
+        diag["ws_step"] = "mrt"
+        if move is not None:
+            diag["phase_recovery"] = "cophase"
+        return w, move
     diag["ws_step"] = "sdp"
     relaxed = sdp.solve(build_ws_problem(state, channels, scenario, rows))
     diag["ws_sdp_status"] = relaxed.status

@@ -11,8 +11,8 @@ interference cap.
 
 The optimizer runs it only on phase steps where co-phasing violates the
 interference cap and the unit-modulus projection of the relaxed solution's
-principal eigenvector is not certified optimal; its beamformer relaxation
-is tight and needs no recovery.
+principal eigenvector is not certified optimal; its beamformer step is in
+closed form, or a tight relaxation that needs no recovery.
 """
 
 from __future__ import annotations

@@ -120,13 +120,13 @@ def test_run_trial_passes_solver_keywords(small_iid_scenario, monkeypatch):
 
 
 def test_span_annotations_of_one_trial(perfbench, iid_scenario):
-    """Every field the span recorder reads, on a -30 deg iid trial that
-    runs all three SDP shapes: (dim, #constraints) keys of the beamformer,
-    phase and SROCR SDPs, the status and IPM iterations of each solve,
-    refine's rounds and rank-one flag, and run_algorithm1's outer
-    iterations, tilt branch and phase-recovery diagnostics.  Its first
-    phase step runs SROCR; every later one takes the certified
-    projection."""
+    """Every field the span recorder reads, on a -30 deg iid trial: the
+    (dim, #constraints) keys of the phase and SROCR SDPs, the status and
+    IPM iterations of each solve, refine's rounds and rank-one flag, and
+    run_algorithm1's outer iterations, tilt branch and phase-recovery
+    diagnostics.  Its first phase step runs SROCR; every later one takes
+    the certified projection.  MRT breaks C1 at every beamformer step, so
+    each takes the closed form and no beamformer SDP (d4m2) is solved."""
     _, spans = perfbench
     sc = apply_overrides(iid_scenario, {"n_s": 4})
     tracer = spans.Tracer()
@@ -137,12 +137,10 @@ def test_span_annotations_of_one_trial(perfbench, iid_scenario):
         if note is not None:
             notes[name].append(note)
     solves = notes["sdp.solve"]
-    assert [n["key"] for n in solves] == (["d4m2", "d21m22", "d21m23"]
-                                          + ["d4m2", "d21m22"] * 6)
+    assert [n["key"] for n in solves] == ["d21m22", "d21m23"] + ["d21m22"] * 6
     assert {n["key"] for n in solves} <= set(spans.SDP_KEYS)
-    assert [n["status"] for n in solves] == ["optimal"] * 15
-    assert [n["iters"] for n in solves] == [8, 10, 13, 10, 11, 10, 10, 10,
-                                            10, 11, 10, 12, 10, 13, 10]
+    assert [n["status"] for n in solves] == ["optimal"] * 8
+    assert [n["iters"] for n in solves] == [10, 13, 11, 10, 10, 10, 10, 10]
     assert sum(n["warnings"] for n in solves) == 0
     assert notes["srocr.refine"] == [{"rounds": 1, "feasible": True}]
     assert notes["optimizer.run_algorithm1"] == [

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ris_crn import metrics, optimizer, sdp, srocr
 from ris_crn.channels import generate_channels, pbs_beamformer, stream_rng
@@ -126,8 +127,10 @@ def _assert_step_optimal(w, state, ch, sc):
 def test_beamformer_step_matches_closed_form(n_s, tilt, cap, scenario,
                                              iid_scenario):
     """The step is the subproblem's exact optimum and is feasible as it
-    comes out, with C1 slack (Gamma = 1e9: MRT) and binding (Gamma a tenth
-    of the MRT leak: sqrt(lambda_1) q_1 of the relaxation)."""
+    comes out.  With C1 slack (Gamma = 1e9) it is MRT.  With C1 binding
+    (Gamma a tenth of the MRT leak) it is the closed form, which reaches
+    the bound of the subproblem's relaxation solved by sdp.solve and meets
+    C1 and the budget to 1e-9 with no rescale."""
     if n_s is None:
         sc, tilt = scenario, select_tilt(scenario).theta_tilt_deg
     else:
@@ -145,8 +148,55 @@ def test_beamformer_step_matches_closed_form(n_s, tilt, cap, scenario,
     diag = {}
     w, _ = optimizer._beamformer_step(state, model.rows(state.phases), ch, sc,
                                       model, True, diag)
-    assert diag["ws_step"] == ("mrt" if cap == "slack" else "sdp")
-    _assert_step_optimal(w, state, ch, sc)
+    if cap == "slack":
+        assert diag["ws_step"] == "mrt"
+        _assert_step_optimal(w, state, ch, sc)
+        return
+    assert diag["ws_step"] == "closed-form"
+    relaxed = solve(build_ws_problem(state, ch, sc))
+    assert relaxed.status == "optimal"
+    assert np.vdot(w, w).real <= sc.p_max_w * (1 + 1e-9)
+    assert abs(b @ w) ** 2 <= sc.gamma_w * (1 + 1e-9)
+    assert abs(a @ w) ** 2 >= relaxed.objective * (1 - 1e-6)
+
+
+@given(n_s=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       a_exp=st.floats(-235.0, 3.0), b_exp=st.floats(-140.0, 3.0),
+       offset=st.none() | st.just(0.0) | st.floats(-12.0, -4.0),
+       cap=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_c1_capped_beamformer_properties(n_s, seed, a_exp, b_exp, offset,
+                                         cap, scenario):
+    """The closed form where MRT breaks C1, on random rows, on exactly
+    parallel rows (the one-element degeneracy, and every n_s = 1 case), on
+    rows 10^offset off parallel (where one Gram-Schmidt pass leaves enough
+    of b_hat in the orthogonal part to break C1), and on rows scaled by
+    10^-235 to 10^3.  Gamma runs from the rounding floor 1e-10 P ||b||^2,
+    below which |b w| is at the rounding error of ||b|| ||w||, up to just
+    below MRT's leak; the b scale stops at 10^-140 so that this range holds
+    normal floats.  The step is finite, meets C1 and the budget to 1e-9,
+    and does at least as well as MRT scaled down to meet the cap."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, n_s)) + 1j * rng.standard_normal((2, n_s))
+    if offset is not None:
+        b = complex(rng.standard_normal(), rng.standard_normal()) * (
+            a + (10.0 ** offset if offset else 0.0) * b)
+    a = a / np.abs(a).max() * 10.0 ** a_exp
+    b = b / np.abs(b).max() * 10.0 ** b_exp
+    p = scenario.p_max_w
+    w_mrt = optimizer._mrt(a, p)
+    leak = abs(b @ w_mrt) ** 2
+    floor, top = 1e-10 * p * np.vdot(b, b).real, leak * (1 - 1e-9)
+    assume(floor < top)
+    gamma = floor * (top / floor) ** cap
+    w = optimizer._c1_capped(w_mrt, b, apply_overrides(
+        scenario, {"gamma_w": float(gamma)}))
+    assert np.isfinite(w).all()
+    assert abs(b @ w) ** 2 <= gamma * (1 + 1e-9)
+    assert np.vdot(w, w).real <= p * (1 + 1e-9)
+    a_unit = a / np.abs(a).max()    # |a w|^2 itself underflows at 10^-235
+    assert abs(a_unit @ w) ** 2 >= (abs(a_unit @ w_mrt) ** 2 * gamma / leak
+                                    * (1 - 1e-9))
 
 
 @pytest.mark.parametrize("n_s", [2, 4])
@@ -333,6 +383,27 @@ def test_c1_repair_reaches_cap_at_rounding_floor(iid_scenario):
     assert res.pu_interference_w <= sc.gamma_w
 
 
+def test_tight_cap_spends_the_whole_budget(iid_scenario):
+    """iid n_s=8, Gamma = 1e-9, -30 deg, seed 8: the closed form meets the
+    cap with the whole budget and reaches the beamformer relaxation's bound.
+    The relaxation's sqrt(lambda_1) q_1 leaked 10.5 Gamma from an
+    `optimal` solve here, and the C1 rescale left 0.92 W of the 10 W at SE
+    5.6214.  The phase relaxation then fails numerically and the phases
+    stay, so the final SE is that of the first beamformer step."""
+    sc = apply_overrides(iid_scenario, {"n_s": 8, "gamma_w": 1e-9})
+    ch = generate_channels(sc, seed=8)
+    res = run_algorithm1(ch, sc, seed=8, fixed_tilt_deg=-30.0)
+    assert res.feasible
+    assert res.power_w == pytest.approx(sc.p_max_w, rel=1e-6)
+    state = DesignState(np.zeros(sc.n_s, dtype=complex),
+                        initial_phases(sc.n_ris, 8), -30.0)
+    bound = solve(build_ws_problem(state, ch, sc)).objective
+    w_p = pbs_beamformer(ch.h_p, sc.pp_dbw)
+    denom = sc.noise_w + abs(np.vdot(ch.f_s, w_p)) ** 2
+    assert res.se == pytest.approx(se_su(bound / denom), rel=1e-6)
+    assert res.se == pytest.approx(7.8433, abs=1e-4)
+
+
 def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
     """Exact (dim, #constraints, status, IPM iterations) of every SDP solve
     of two fixed runs, in order.
@@ -341,9 +412,9 @@ def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
     comparison at rtol 1e-6 would let through.  On the path-loss default C1
     binds at neither block, so every outer iteration takes MRT and the
     co-phased profile and nothing is solved; the iid n_s=4 trial at -30 deg
-    is a C1-binding case whose every phase step takes the certified
-    projection: each outer iteration solves the beamformer relaxation and
-    the phase relaxation, and no SROCR round."""
+    is a C1-binding case where MRT breaks C1 and every phase step takes the
+    certified projection: each outer iteration takes the closed-form
+    beamformer and solves the phase relaxation, and no SROCR round."""
     log = []
     real = sdp.solve
 
@@ -359,10 +430,7 @@ def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
     log.clear()
     iid4 = apply_overrides(iid_scenario, {"n_s": 4})
     run_trial(iid4, "proposed", seed=0, fixed_tilt_deg=-30.0)
-    per_outer = [(8, 11), (12, 11), (11, 10), (10, 10)]
-    assert log == [entry for ws, phase in per_outer
-                   for entry in ((4, 2, "optimal", ws),
-                                 (21, 22, "optimal", phase))]
+    assert log == [(21, 22, "optimal", iters) for iters in (11, 11, 10, 10)]
 
 
 @pytest.mark.parametrize("case", [
@@ -412,11 +480,11 @@ def test_c1_slack_iterations_take_closed_form(case, scenario, iid_scenario,
 def test_c1_binding_phase_step_keeps_beamformer_sdp(iid_scenario,
                                                     monkeypatch):
     """An iteration whose MRT keeps C1 but whose co-phased profile for it
-    does not runs the beamformer SDP and the phase SDP as before, so every
-    iteration of the iid n_s=4 trial at -30 deg, seed 2, has both solves,
-    and some of them start from such a slack MRT.  There the relaxation has
-    C1 slack at the beamformer, and its sqrt(lambda_1) q_1 reaches MRT's
-    optimum."""
+    does not runs the beamformer SDP and the phase SDP as before.  On the
+    iid n_s=4 trial at -30 deg, seed 2, the first three iterations' MRT
+    breaks C1 and they take the closed form; the last three start from
+    such a slack MRT and solve both SDPs.  There the relaxation has C1 slack
+    at the beamformer, and its sqrt(lambda_1) q_1 reaches MRT's optimum."""
     sc = apply_overrides(iid_scenario, {"n_s": 4})
     ch = generate_channels(sc, seed=2)
     mrt_slack = []
@@ -435,13 +503,11 @@ def test_c1_binding_phase_step_keeps_beamformer_sdp(iid_scenario,
     monkeypatch.setattr(optimizer, "_beamformer_step", spy)
     log = _solve_log(monkeypatch)
     res = run_algorithm1(ch, sc, seed=2, fixed_tilt_deg=-30.0)
-    assert any(mrt_slack)
-    assert all(d["ws_step"] == "sdp" and d["phase_recovery"] != "cophase"
-               for d in res.diagnostics)
-    beamformer_solves = sum(p.dim == sc.n_s for p in log)
-    assert beamformer_solves == sum(
-        d["ws_step"] == "sdp" and not d.get("replayed")
-        for d in res.diagnostics) > 0
+    assert mrt_slack == [False] * 3 + [True] * 3
+    assert [d["ws_step"] for d in res.diagnostics] == (
+        ["closed-form"] * 3 + ["sdp"] * 3)
+    assert all(d["phase_recovery"] != "cophase" for d in res.diagnostics)
+    assert sum(p.dim == sc.n_s for p in log) == 3
 
 
 def _phase_objective(problem, l1, phases):
@@ -665,15 +731,24 @@ def test_no_beamformer_sdp_solved_twice_in_a_row(method, iid_scenario,
     """Over the tilt grid, no run solves a beamformer SDP byte-equal to
     the one it solved before (the phase SDPs have dim N + 1).  Iterations
     where C1 binds at neither block solve none; every -30 deg run, where
-    C1 binds, solves at least one."""
+    MRT breaks C1, takes the closed form at least once."""
     sc = apply_overrides(iid_scenario, {"n_s": 4})
     log = _solve_log(monkeypatch)
+    capped = []
+    real = optimizer._c1_capped
+
+    def spy(*args):
+        capped.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, "_c1_capped", spy)
     for tilt in range(-180, 1, 30):
         for seed in (0, 1):
             log.clear()
+            capped.clear()
             run_trial(sc, method, seed=seed, fixed_tilt_deg=float(tilt))
             solved = [p for p in log if p.dim == sc.n_s]
-            assert solved or tilt != -30, seed
+            assert capped or tilt != -30, seed
             assert not any(_same_problem(p, q)
                            for p, q in zip(solved, solved[1:])), (tilt, seed)
 
@@ -719,9 +794,9 @@ def test_fixed_phase_methods_solve_only_in_first_iteration(
         method, iid_scenario, monkeypatch):
     """With the phases frozen the first iteration is a fixed point, so the
     second is recorded as its replay and nothing is solved for it.  At the
-    RIS tilt (-30 deg) MRT breaks C1 and the one beamformer SDP is the first
-    iteration's.  Without a surface the tilt points at the user, MRT keeps
-    C1, and no SDP is solved."""
+    RIS tilt (-30 deg) MRT breaks C1 and the first iteration takes the
+    closed form.  Without a surface the tilt points at the user and MRT
+    keeps C1.  Neither solves an SDP."""
     sc = apply_overrides(iid_scenario, {
         "n_s": 4, "n_ris": 0 if method == "no_ris" else iid_scenario.n_ris})
     log = _solve_log(monkeypatch)
@@ -733,22 +808,24 @@ def test_fixed_phase_methods_solve_only_in_first_iteration(
     assert "replayed" not in first
     assert replay == dict(first, iteration=2, replayed=True)
     assert res.se_trace[1] == res.se_trace[0] == first["se"] > 0
+    assert log == []
     if method == "no_ris":
-        assert res.tilt.branch == "direct" and log == []
-        assert first["ws_step"] == "mrt"
-        return
-    assert first["ws_step"] == "sdp" and first["ws_sdp_status"] == "optimal"
-    assert [p.dim for p in log] == [sc.n_s]
+        assert res.tilt.branch == "direct" and first["ws_step"] == "mrt"
+    else:
+        assert first["ws_step"] == "closed-form"
 
 
 # iid n_s=2 at -30 deg: the last real iteration's SROCR phase step is
-# rejected, so the iteration ends at the phases it started from.  The
-# traces are those of the loop that ran that iteration again.
+# rejected, so the iteration ends at the phases it started from.
+# Re-recorded when the beamformer step took the closed form where MRT
+# breaks C1: seed 8 moved by at most 1.3e-8 relative, and seed 17 from
+# 15.353292 to 15.351024, because its first SROCR phase step lands lower
+# from the exact beamformer than from the relaxation's vector.
 FIXED_POINT_TRACES = {
-    8: [7.961220511828901, 8.209517583541455, 8.32326443855962,
-        8.382699212556721, 8.418693248236744, 8.44441442750693,
-        8.458136020845862, 8.458136020845862],
-    17: [15.33578263256531, 15.353292353224607, 15.353292353224607],
+    8: [7.961220410051667, 8.209517675721859, 8.32326444311307,
+        8.382699211675748, 8.418693246574664, 8.444414425827812,
+        8.458136022303082, 8.458136022303082],
+    17: [15.335267886187347, 15.351023890737368, 15.351023890737368],
 }
 
 
@@ -946,15 +1023,20 @@ def test_randomization_fallback_runs_unforced(iid_scenario):
 
 def test_rejected_randomized_step_is_replayed_not_solved(iid_scenario,
                                                         monkeypatch):
-    """On iid n_s=8, Gamma = 1e-12, -30 deg, seed 8, the first iteration's
+    """On iid n_s=8, Gamma = 1e-12, -30 deg, seed 3, the first iteration's
     randomized phase step is rejected, so the iteration ends at the phases
-    it started from.  That fixed point is recorded as a replay; the loop
-    that ran it again drew the same trace from 50 SDP solves, not 25."""
+    it started from.  That fixed point is recorded as a replay, and the run
+    solves only the first phase step's relaxation and its 16 SROCR rounds.
+    (Over the n_s=8 runs at Gamma 1e-12, 1e-9, 1e-6 and 1e6, -30 deg,
+    seeds 0-9, this run and Gamma = 1e-9, seed 9, reject a randomized
+    step.)"""
     sc = apply_overrides(iid_scenario, {"n_s": 8, "gamma_w": 1e-12})
     log = _solve_log(monkeypatch)
-    res = run_algorithm1(generate_channels(sc, seed=8), sc, seed=8,
+    res = run_algorithm1(generate_channels(sc, seed=3), sc, seed=3,
                          fixed_tilt_deg=-30.0)
-    assert res.se_trace == [0.014177457583096069, 0.014177457583096069]
+    assert res.se_trace == [12.240731208728098, 12.240731208728098]
     assert res.diagnostics[-1]["replayed"]
     assert res.diagnostics[-1]["phase_recovery"] == "randomization"
-    assert len(log) == 25
+    np.testing.assert_array_equal(res.state.phases,
+                                  initial_phases(sc.n_ris, 3))
+    assert len(log) == 17
