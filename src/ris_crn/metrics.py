@@ -1,13 +1,14 @@
 """Effective channels, secondary SINR/SE and primary interference.
 
-The tilt gains enter as amplitudes on the channel rows:
-``a = sqrt(A_d) h_s^H + sqrt(A_r) u^H diag(e^{j alpha}) G`` toward the SU and
-``b = sqrt(A_i) f_p^H + sqrt(A_r) v^H diag(e^{j alpha}) G`` toward the PU.
-A ``LinkModel`` holds what the tilt, channels and scenario fix: the gains,
-the scaled direct rows and the SINR denominator.  ``rows`` forms both rows
-of a phase profile and ``sinr`` and ``leak`` take a row, so a caller that
-keeps a profile's rows forms them once.  ``run_algorithm1`` builds one
-model per call; each public function below builds one per evaluation.
+The tilt gains enter as amplitudes, in the cascaded-channel form of Wu &
+Zhang (IEEE TWC 2019): ``a = sqrt(A_d) h_s^H + e^{j alpha}^T C_a`` toward
+the SU and ``b = sqrt(A_i) f_p^H + e^{j alpha}^T C_b`` toward the PU, with
+``C_a = sqrt(A_r) diag(u^H) G`` and ``C_b = sqrt(A_r) diag(v^H) G``.  A
+``LinkModel`` holds what the tilt, channels and scenario fix: the scaled
+direct rows, the cascade matrices and the SINR denominator.  ``rows`` forms
+both rows of a phase profile and ``sinr`` and ``leak`` take a row, so a
+caller that keeps a profile's rows forms them once.  ``run_algorithm1``
+builds one model per call; each public function builds one per evaluation.
 """
 
 from __future__ import annotations
@@ -52,22 +53,17 @@ def pattern_gains(state: DesignState,
 @dataclass(frozen=True)
 class LinkModel:
     """What a tilt, channel set and scenario fix for every design state."""
-    gains: tuple[float, float, float]   # (A_d, A_r, A_i)
     su_direct: np.ndarray               # sqrt(A_d) h_s^H
     pu_direct: np.ndarray               # sqrt(A_i) f_p^H
-    u_h: np.ndarray                     # u^H
-    v_h: np.ndarray                     # v^H
-    G: np.ndarray
-    sqrt_a_r: float
+    su_cascade: np.ndarray              # sqrt(A_r) diag(u^H) G, (N, N_s)
+    pu_cascade: np.ndarray              # sqrt(A_r) diag(v^H) G
     sinr_denominator: float             # noise_w + |f_s^H w_p|^2, or NaN
 
     def rows(self, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(a, b): the effective SU and PU rows under a phase profile."""
-        if self.G.shape[0] == 0:
-            return self.su_direct, self.pu_direct
         coeffs = np.exp(1j * phases)
-        return (self.su_direct + self.sqrt_a_r * (self.u_h * coeffs) @ self.G,
-                self.pu_direct + self.sqrt_a_r * (self.v_h * coeffs) @ self.G)
+        return (self.su_direct + coeffs @ self.su_cascade,
+                self.pu_direct + coeffs @ self.pu_cascade)
 
     def sinr(self, a: np.ndarray, w_s: np.ndarray) -> float:
         return float(abs(np.dot(a, w_s)) ** 2 / self.sinr_denominator)
@@ -80,12 +76,14 @@ class LinkModel:
 def link_model(state: DesignState, channels: ChannelSet, scenario: Scenario,
                w_p: np.ndarray | None = None) -> LinkModel:
     """The LinkModel at the state's tilt; SINR needs the PBS beamformer."""
-    a_d, a_r, a_i = gains = pattern_gains(state, scenario)
+    a_d, a_r, a_i = pattern_gains(state, scenario)
     denom = (np.nan if w_p is None
              else scenario.noise_w + abs(np.vdot(channels.f_s, w_p)) ** 2)
-    return LinkModel(gains, np.sqrt(a_d) * channels.h_s.conj(),
-                     np.sqrt(a_i) * channels.f_p.conj(), channels.u.conj(),
-                     channels.v.conj(), channels.G, np.sqrt(a_r), denom)
+    return LinkModel(np.sqrt(a_d) * channels.h_s.conj(),
+                     np.sqrt(a_i) * channels.f_p.conj(),
+                     np.sqrt(a_r) * channels.u.conj()[:, None] * channels.G,
+                     np.sqrt(a_r) * channels.v.conj()[:, None] * channels.G,
+                     denom)
 
 
 def effective_su_row(state: DesignState, channels: ChannelSet,

@@ -10,8 +10,9 @@ path with the direct one where that keeps C1.  Each is then its step's
 global optimum.  Only where MRT keeps C1 and its co-phased profile does
 not does the beamformer step take the principal eigenvector of its tight
 semidefinite relaxation.  A phase step whose co-phased profile breaks C1
-solves a relaxation: an SDP whose one dense row is C1 and whose
-unit-modulus entries are the solver's implicit unit diagonal.  Its
+solves a relaxation: an SDP over the link model's cascaded-channel rows
+whose one dense row is C1 and whose unit-modulus entries are the solver's
+implicit unit diagonal.  Its
 principal eigenvector, projected to unit modulus, is taken when it keeps
 C1 and reaches the relaxation's bound (a certified global optimum);
 otherwise sequential rank-one constraint relaxation (SROCR) recovers the
@@ -117,27 +118,23 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
 
     Returns (SdpProblem over X of size N+1, l1, l2) with objective
     l1 + tr(H1 X), the one dense row l2 + tr(H2 X) <= Gamma and X_pp = 1
-    (``unit_diagonal``).  For every unit-modulus x = [e^{j alpha}; 1],
-    l1 + x^H H1 x equals |a(alpha) w_s|^2 exactly.
+    (``unit_diagonal``).  With y = [C_a w_s; sqrt(A_d) h_s^H w_s],
+    |a(alpha) w_s|^2 = |y^T x|^2 for x = [e^{j alpha}; 1]: H1 is conj(y) y^T
+    with its corner moved into l1, and H2, l2 likewise from the PU row.  No
+    entry passes through A_d A_r, which underflows far off boresight.
     """
-    a_d, a_r, a_i = (model or link_model(state, channels, scenario)).gains
-    w = state.w_s
-    gw = channels.G @ w
+    model = model or link_model(state, channels, scenario)
     n = scenario.n_ris
 
-    def quad(vec_rx, direct_ch, gain_direct):
-        c = complex(np.vdot(direct_ch, w))              # direct term
-        r = np.conj(vec_rx.conj() * gw)                 # cascade, conjugated
-        h = np.zeros((n + 1, n + 1), dtype=complex)
-        h[:n, :n] = a_r * np.outer(r, r.conj())
-        cross = np.sqrt(gain_direct * a_r) * r * c
-        h[:n, n] = cross
-        h[n, :n] = cross.conj()
-        ell = gain_direct * abs(c) ** 2
+    def homogenized(cascade, direct):
+        y = np.append(cascade @ state.w_s, direct @ state.w_s)
+        h = np.outer(y.conj(), y)
+        ell = float(h[n, n].real)
+        h[n, n] = 0.0
         return h, ell
 
-    h1, l1 = quad(channels.u, channels.h_s, a_d)
-    h2, l2 = quad(channels.v, channels.f_p, a_i)
+    h1, l1 = homogenized(model.su_cascade, model.su_direct)
+    h2, l2 = homogenized(model.pu_cascade, model.pu_direct)
     return (sdp.SdpProblem(h1, (h2,), (scenario.gamma_w - l2,),
                            unit_diagonal=True), l1, l2)
 
@@ -201,7 +198,7 @@ def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
     if w is not None and model.leak(b, w) > scenario.gamma_w:
         diag["ws_step"] = "closed-form"
         return _c1_capped(w, b, scenario), None
-    move = (_cophased_within_cap(state.with_beamformer(w), channels,
+    move = (_cophased_within_cap(state.with_beamformer(w), rows, channels,
                                  scenario, model)
             if update_phases and w is not None else None)
     if w is not None and (move is not None or not update_phases):
@@ -223,20 +220,21 @@ def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
     alpha_n = arg(h_s^H w) - arg(conj(u_n) (G w)_n).
 
     The tilt gains only scale each path by a positive amount and do not
-    enter, so the angles stay right where A_d (or the product A_d A_r in
-    the homogenized cross column) underflows to zero.
+    enter, so the angles stay right where A_d underflows to zero.
     """
     w = state.w_s
     c = np.vdot(channels.h_s, w)
     return np.angle(c) - np.angle(channels.u.conj() * (channels.G @ w))
 
 
-def _cophased_within_cap(state: DesignState, channels: ChannelSet,
-                         scenario: Scenario, model: LinkModel):
+def _cophased_within_cap(state: DesignState, rows: tuple,
+                         channels: ChannelSet, scenario: Scenario,
+                         model: LinkModel):
     """(phases, their rows) of the co-phased profile for the state's
-    beamformer when it keeps C1, else None."""
+    beamformer when it keeps C1, else None (``rows`` if it is unchanged)."""
     phases = cophased_phases(state, channels)
-    rows = model.rows(phases)
+    if phases.tobytes() != state.phases.tobytes():
+        rows = model.rows(phases)
     if model.leak(rows[1], state.w_s) <= scenario.gamma_w:
         return phases, rows
     return None
@@ -275,7 +273,7 @@ def _solve_phases(state: DesignState, rows: tuple, channels: ChannelSet,
     ``phase_sdr_gap`` is the relative gap to tr(H1 X) of the phases taken,
     on every step that solved the relaxation.
     """
-    cophased = _cophased_within_cap(state, channels, scenario, model)
+    cophased = _cophased_within_cap(state, rows, channels, scenario, model)
     if cophased is not None:
         diag["phase_recovery"] = "cophase"
         return cophased

@@ -43,7 +43,6 @@ class RankOneResult:
     ratio: float
     iterations: int
     feasible: bool
-    objective: float
 
 
 def _ratio_eigpair(x: np.ndarray,
@@ -89,7 +88,7 @@ def refine(problem: SdpProblem, relaxed: SdpSolution,
 
     # x is the last accepted solution; its eigenpair serves both the next
     # round's alignment and the final extraction
-    x, objective = relaxed.x, relaxed.objective
+    x = relaxed.x
     ratio, lam, q = _ratio_eigpair(x, eigpair)
     w = ratio
     delta = DELTA_INIT
@@ -121,12 +120,11 @@ def refine(problem: SdpProblem, relaxed: SdpSolution,
             continue
         failed_w = None
         w = w_try
-        x, objective = sol.x, sol.objective
+        x = sol.x
         ratio, lam, q = _ratio_eigpair(x)
 
     return RankOneResult(x=x, vector=np.sqrt(max(lam, 0.0)) * q, ratio=ratio,
-                         iterations=iterations, feasible=ratio >= RANK_TOL,
-                         objective=objective)
+                         iterations=iterations, feasible=ratio >= RANK_TOL)
 
 
 def extract_vector(result: RankOneResult, target: str) -> np.ndarray:
