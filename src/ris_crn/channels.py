@@ -44,14 +44,14 @@ class ChannelSet:
 
     def validate(self, scenario: Scenario):
         n, n_s, n_p = scenario.n_ris, scenario.n_s, scenario.n_p
-        shapes = {"G": (n, n_s), "u": (n,), "v": (n,), "h_s": (n_s,),
-                  "h_p": (n_p,), "f_p": (n_s,), "f_s": (n_p,)}
-        for name, shape in shapes.items():
+        for name, shape in (("G", (n, n_s)), ("u", (n,)), ("v", (n,)),
+                            ("h_s", (n_s,)), ("h_p", (n_p,)),
+                            ("f_p", (n_s,)), ("f_s", (n_p,))):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ChannelError(f"channel {name} has shape {arr.shape}, "
                                    f"expected {shape}")
-            if not np.all(np.isfinite(arr)):
+            if np.count_nonzero(np.isfinite(arr)) != arr.size:
                 raise ChannelError(f"channel {name} has non-finite entries")
 
 

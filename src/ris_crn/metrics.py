@@ -13,6 +13,8 @@ builds one model per call; each public function builds one per evaluation.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +46,13 @@ class DesignState:
 def pattern_gains(state: DesignState,
                   scenario: Scenario) -> tuple[float, float, float]:
     """(A_d, A_r, A_i) power gains for the current tilt."""
-    g = lambda th_x: vertical_gain_linear(state.theta_tilt_deg, th_x,
-                                          scenario.pattern)
-    return (g(scenario.theta_d_deg), g(scenario.theta_r_deg),
-            g(scenario.theta_i_deg))
+    return _gains(state.theta_tilt_deg, scenario.pattern, scenario.theta_d_deg,
+                  scenario.theta_r_deg, scenario.theta_i_deg)
+
+
+@functools.lru_cache(maxsize=256)   # a pure function of hashable values
+def _gains(tilt, pattern, *angles):
+    return tuple(vertical_gain_linear(tilt, th_x, pattern) for th_x in angles)
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,13 @@ class LinkModel:
 def link_model(state: DesignState, channels: ChannelSet, scenario: Scenario,
                w_p: np.ndarray | None = None) -> LinkModel:
     """The LinkModel at the state's tilt; SINR needs the PBS beamformer."""
-    a_d, a_r, a_i = pattern_gains(state, scenario)
+    amp_d, amp_r, amp_i = map(math.sqrt, pattern_gains(state, scenario))
     denom = (np.nan if w_p is None
              else scenario.noise_w + abs(np.vdot(channels.f_s, w_p)) ** 2)
-    return LinkModel(np.sqrt(a_d) * channels.h_s.conj(),
-                     np.sqrt(a_i) * channels.f_p.conj(),
-                     np.sqrt(a_r) * channels.u.conj()[:, None] * channels.G,
-                     np.sqrt(a_r) * channels.v.conj()[:, None] * channels.G,
+    return LinkModel(amp_d * channels.h_s.conj(),
+                     amp_i * channels.f_p.conj(),
+                     amp_r * channels.u.conj()[:, None] * channels.G,
+                     amp_r * channels.v.conj()[:, None] * channels.G,
                      denom)
 
 

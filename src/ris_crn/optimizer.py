@@ -27,6 +27,7 @@ that would repeat it, and not run again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,12 +152,14 @@ def initial_phases(n_ris: int, seed: int) -> np.ndarray:
 def _mrt(a: np.ndarray, p_max_w: float) -> np.ndarray | None:
     """Maximum-ratio transmission at full power, sqrt(P) a^H / ||a||, or
     None for a zero row.  The row is scaled by its largest entry first, so
-    the norm neither underflows nor overflows far off boresight."""
-    peak = np.max(np.abs(a), initial=0.0)
+    the norm (np.linalg.norm's sqrt(re.re + im.im), without its dispatch)
+    neither underflows nor overflows far off boresight."""
+    peak = np.abs(a).max(initial=0.0)
     if peak == 0.0:
         return None
     unit = a.conj() / peak
-    return np.sqrt(p_max_w) * unit / np.linalg.norm(unit)
+    re, im = unit.real, unit.imag
+    return math.sqrt(p_max_w) * unit / np.sqrt(re.dot(re) + im.dot(im))
 
 
 def _c1_capped(w_mrt: np.ndarray, b: np.ndarray, scenario: Scenario):
@@ -180,8 +183,8 @@ def _c1_capped(w_mrt: np.ndarray, b: np.ndarray, scenario: Scenario):
 def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
                      scenario: Scenario, model: LinkModel,
                      update_phases: bool, diag: dict):
-    """Beamformer step for the state and its ``rows``: (w, move), where
-    ``move`` is (phases, their rows) of a closed-form phase step or None.
+    """Beamformer step for the state and its ``rows``: (w, (w, |b w|^2)
+    or None, _cophased_within_cap's move for w or None).
 
     MRT when it keeps C1 (it maximizes |a w|^2 over ||w||^2 <= P), with
     the co-phased profile for it when that keeps C1 too (see _solve_phases)
@@ -195,9 +198,10 @@ def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
     """
     a, b = rows
     w = _mrt(a, scenario.p_max_w)
-    if w is not None and model.leak(b, w) > scenario.gamma_w:
+    taken = None if w is None else (w, model.leak(b, w))
+    if taken and taken[1] > scenario.gamma_w:
         diag["ws_step"] = "closed-form"
-        return _c1_capped(w, b, scenario), None
+        return _c1_capped(w, b, scenario), None, None
     move = (_cophased_within_cap(state.with_beamformer(w), rows, channels,
                                  scenario, model)
             if update_phases and w is not None else None)
@@ -205,39 +209,40 @@ def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
         diag["ws_step"] = "mrt"
         if move is not None:
             diag["phase_recovery"] = "cophase"
-        return w, move
+        return w, taken, move
     diag["ws_step"] = "sdp"
     relaxed = sdp.solve(build_ws_problem(state, channels, scenario, rows))
     diag["ws_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
-        return state.w_s, None
+        return state.w_s, None, None
     lam, q = sdp.principal_eigpair(relaxed.x)
-    return np.sqrt(max(lam, 0.0)) * q, None
+    return np.sqrt(max(lam, 0.0)) * q, None, None
 
 
 def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
     """Phases that add every reflected path in phase with the direct one:
-    alpha_n = arg(h_s^H w) - arg(conj(u_n) (G w)_n).
+    alpha_n = arg(h_s^H w) - arg(conj(u_n) (G w)_n), each arg taken as
+    np.angle takes it, arctan2(imag, real), without its dispatch.
 
     The tilt gains only scale each path by a positive amount and do not
     enter, so the angles stay right where A_d underflows to zero.
     """
     w = state.w_s
     c = np.vdot(channels.h_s, w)
-    return np.angle(c) - np.angle(channels.u.conj() * (channels.G @ w))
+    z = channels.u.conj() * (channels.G @ w)
+    return np.arctan2(c.imag, c.real) - np.arctan2(z.imag, z.real)
 
 
 def _cophased_within_cap(state: DesignState, rows: tuple,
                          channels: ChannelSet, scenario: Scenario,
                          model: LinkModel):
-    """(phases, their rows) of the co-phased profile for the state's
-    beamformer when it keeps C1, else None (``rows`` if it is unchanged)."""
+    """(phases, their rows (``rows`` if unchanged), (w, |b w|^2)) of the
+    co-phased profile for the state's beamformer w if it keeps C1."""
     phases = cophased_phases(state, channels)
     if phases.tobytes() != state.phases.tobytes():
         rows = model.rows(phases)
-    if model.leak(rows[1], state.w_s) <= scenario.gamma_w:
-        return phases, rows
-    return None
+    taken = (state.w_s, model.leak(rows[1], state.w_s))
+    return (phases, rows, taken) if taken[1] <= scenario.gamma_w else None
 
 
 def _sdr_gap(problem: sdp.SdpProblem, bound: float,
@@ -252,9 +257,9 @@ def _sdr_gap(problem: sdp.SdpProblem, bound: float,
 
 def _solve_phases(state: DesignState, rows: tuple, channels: ChannelSet,
                   scenario: Scenario, model: LinkModel, seed: int,
-                  diag: dict) -> tuple[np.ndarray, tuple]:
-    """Phase step: (phases, their rows), for the state and its ``rows``,
-    from the first of these recoveries that applies.
+                  diag: dict) -> tuple[np.ndarray, tuple, tuple | None]:
+    """Phase step: (phases, their rows, (w, |b w|^2) or None), for the
+    state and its ``rows``, from the first of these recoveries that applies.
 
     1. Co-phase: the co-phased profile maximizes |a(alpha) w|^2 over all
        unit-modulus profiles, so when it keeps C1 it is the subproblem's
@@ -281,7 +286,7 @@ def _solve_phases(state: DesignState, rows: tuple, channels: ChannelSet,
     relaxed = sdp.solve(problem)
     diag["phase_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
-        return state.phases, rows
+        return state.phases, rows, None
     eigpair = sdp.principal_eigpair(relaxed.x)
     unit = srocr.project_unit_modulus(eigpair[1])
     phases = np.angle(unit[:-1] * unit[-1].conj())
@@ -303,7 +308,7 @@ def _solve_phases(state: DesignState, rows: tuple, channels: ChannelSet,
         phases = np.angle(x[:-1])
         gap, _ = _sdr_gap(problem, relaxed.objective, phases)
     diag["phase_sdr_gap"] = gap
-    return phases, model.rows(phases)
+    return phases, model.rows(phases), None
 
 
 def run_algorithm1(channels: ChannelSet, scenario: Scenario,
@@ -330,37 +335,37 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
                         tilt.theta_tilt_deg)
     model = link_model(state, channels, scenario,
                        pbs_beamformer(channels.h_p, scenario.pp_dbw))
+    p_max, cap = scenario.p_max_w, scenario.gamma_w * (1.0 - 1e-9)
 
-    def accept(cand: DesignState, cand_rows: tuple, kept: tuple):
-        """Repair cand, then keep it only if the SE does not drop.
+    def accept(w, phases, cand_rows: tuple, taken, kept: tuple):
+        """Repair the beamformer w; keep (w, phases) if the SE does not drop.
 
         A beamformer meets C1 and the budget only to the IPM's tolerance,
         and a phase move changes the effective PU row under the kept
-        beamformer, so the beamformer is scaled down until both hold with
-        margin (or C1_REPAIR_PASSES more rescales have missed).  ``kept``
-        and the result are a (state, rows, SE) triple.
+        beamformer, so w is scaled down until both hold with margin (or
+        C1_REPAIR_PASSES more rescales have missed).  ``taken``, a step's
+        (w', |b w'|^2) or None, gives the leak when w is w'.  ``kept`` and
+        the result are a (state, rows, SE) triple.
         """
         a, b = cand_rows
-        scale2 = 1.0
-        power = float(np.vdot(cand.w_s, cand.w_s).real)
-        if power > scenario.p_max_w:
-            scale2 = min(scale2, scenario.p_max_w / power)
-        cap = scenario.gamma_w * (1.0 - 1e-9)
-        leak = model.leak(b, cand.w_s)
+        power = float(np.vdot(w, w).real)
+        scale2 = p_max / power if power > p_max else 1.0
+        leak = taken[1] if taken and taken[0] is w else model.leak(b, w)
         leak_rescaled = leak > cap
         if leak_rescaled:
             scale2 = min(scale2, cap / leak)
         if scale2 < 1.0:
-            cand = cand.with_beamformer(cand.w_s * np.sqrt(scale2))
+            w = w * math.sqrt(scale2)
         # where |b w| sits at the rounding floor of ||b|| ||w||, one
         # rescale can land above the cap; repeat it while it does
         for _ in range(C1_REPAIR_PASSES if leak_rescaled else 0):
-            leak = model.leak(b, cand.w_s)
+            leak = model.leak(b, w)
             if leak <= scenario.gamma_w:
                 break
-            cand = cand.with_beamformer(cand.w_s * np.sqrt(cap / leak))
-        se_cand = se_su(model.sinr(a, cand.w_s))
-        return (cand, cand_rows, se_cand) if se_cand >= kept[2] else kept
+            w = w * math.sqrt(cap / leak)
+        se_cand = se_su(model.sinr(a, w))
+        return ((DesignState(w, phases, tilt.theta_tilt_deg), cand_rows,
+                 se_cand) if se_cand >= kept[2] else kept)
 
     se_now = 0.0       # the zero beamformer carries no signal
     se_prev = 0.0
@@ -371,14 +376,14 @@ def run_algorithm1(channels: ChannelSet, scenario: Scenario,
     for t in range(1, MAX_OUTER_ITERS + 1):
         diag = {"iteration": t}
         start = state.phases.tobytes()
-        w, move = _beamformer_step(state, rows, channels, scenario, model,
-                                   update_phases, diag)
-        state, rows, se_now = accept(state.with_beamformer(w), rows,
+        w, taken, move = _beamformer_step(state, rows, channels, scenario,
+                                          model, update_phases, diag)
+        state, rows, se_now = accept(w, state.phases, rows, taken,
                                      (state, rows, se_now))
         if update_phases:
-            move = move or _solve_phases(state, rows, channels, scenario,
-                                         model, seed, diag)
-            state, rows, se_now = accept(state.with_phases(move[0]), move[1],
+            phases, move_rows, taken = move or _solve_phases(
+                state, rows, channels, scenario, model, seed, diag)
+            state, rows, se_now = accept(state.w_s, phases, move_rows, taken,
                                          (state, rows, se_now))
         se_trace.append(se_now)
         diag["se"] = se_now

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -146,8 +147,8 @@ def test_beamformer_step_matches_closed_form(n_s, tilt, cap, scenario,
     model = metrics.link_model(state, ch, sc, pbs_beamformer(ch.h_p,
                                                              sc.pp_dbw))
     diag = {}
-    w, _ = optimizer._beamformer_step(state, model.rows(state.phases), ch, sc,
-                                      model, True, diag)
+    w, *_ = optimizer._beamformer_step(state, model.rows(state.phases), ch,
+                                       sc, model, True, diag)
     if cap == "slack":
         assert diag["ws_step"] == "mrt"
         _assert_step_optimal(w, state, ch, sc)
@@ -213,9 +214,9 @@ def test_zero_signal_beamformer_step(n_s, iid_scenario, monkeypatch):
     real_step = optimizer._beamformer_step
 
     def step_spy(*args):
-        w, move = real_step(*args)
-        steps.append(w)
-        return w, move
+        step = real_step(*args)
+        steps.append(step[0])
+        return step
 
     monkeypatch.setattr(optimizer, "_beamformer_step", step_spy)
     log = _solve_log(monkeypatch)
@@ -309,6 +310,28 @@ def test_phase_quadratic_form_identity_far_off_boresight(tilt, iid_scenario,
             abs(a @ w) ** 2, rel=1e-10, abs=0.0)
         assert l2 + np.vdot(x, problem.a[0] @ x).real == pytest.approx(
             abs(b @ w) ** 2, rel=1e-10, abs=0.0)
+
+
+def test_phase_quadratic_form_identity_pathloss_scale(scenario):
+    """Criterion 4's identity on its 50 path-loss draws (``rng(4)``, odd
+    k) at a relative gate alone: |a(alpha) w|^2 is 1e-19 to 1e-15 there,
+    so approx's default abs=1e-12 would pass any value."""
+    rng = np.random.default_rng(4)
+    iid = apply_overrides(scenario, {"channel": {"iid_mode": True}})
+    for k in range(100):
+        sc = scenario if k % 2 else iid
+        ch = generate_channels(sc, seed=k)
+        w = rng.standard_normal(sc.n_s) + 1j * rng.standard_normal(sc.n_s)
+        alphas = rng.uniform(0, 2 * np.pi, sc.n_ris)
+        if not k % 2:
+            continue        # the iid draws only advance the stream
+        state = DesignState(w, alphas, sc.theta_r_deg)
+        problem, l1, _ = build_phase_problem(state, ch, sc)
+        x = np.append(np.exp(1j * alphas), 1.0)
+        direct = abs(np.dot(effective_su_row(state, ch, sc), w)) ** 2
+        assert direct < 1e-12
+        assert l1 + np.vdot(x, problem.c @ x).real == pytest.approx(
+            direct, rel=1e-10, abs=0.0)
 
 
 def test_no_ris_huge_cap_recovers_mrt(scenario):
@@ -488,7 +511,7 @@ def test_c1_slack_iterations_take_closed_form(case, scenario, iid_scenario,
     assert log == []
     assert all(d["ws_step"] == "mrt" and d["phase_recovery"] == "cophase"
                and "ws_sdp_status" not in d for d in res.diagnostics)
-    before, (w, (phases, _)) = taken[-1]
+    before, (w, _, (phases, *_)) = taken[-1]
     a = effective_su_row(before, ch, sc)
     np.testing.assert_allclose(
         w, np.sqrt(sc.p_max_w) * a.conj() / np.linalg.norm(a), rtol=1e-12)
@@ -1094,3 +1117,20 @@ def test_rejected_randomized_step_is_replayed_not_solved(iid_scenario,
                             zero_phase_start=True)
     assert capped.se_trace == res.se_trace[:-1]
     assert len(solved) == len(log) and all(map(_same_problem, solved, log))
+
+
+PATHLOSS_PIN = json.loads(
+    (Path(__file__).parent / "data" / "pathloss_pin.json").read_text())
+
+
+@pytest.mark.parametrize("seed", sorted(PATHLOSS_PIN, key=int))
+def test_pathloss_solve_pinned_bitwise(seed, scenario):
+    """``ris-crn solve`` on paper_default is pinned to the last bit: every
+    SE of the trace (float.hex) and the bytes of the final beamformer and
+    phases (little-endian complex128 and float64)."""
+    pin = PATHLOSS_PIN[seed]
+    res = run_algorithm1(generate_channels(scenario, seed=int(seed)),
+                         scenario, seed=int(seed))
+    assert [se.hex() for se in res.se_trace] == pin["se_trace"]
+    assert res.state.w_s.astype("<c16").tobytes().hex() == pin["w_s"]
+    assert res.state.phases.astype("<f8").tobytes().hex() == pin["phases"]
