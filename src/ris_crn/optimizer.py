@@ -64,7 +64,7 @@ class OptimizerResult:
 
     @property
     def se(self) -> float:
-        return self.se_trace[-1] if self.se_trace else 0.0
+        return self.se_trace[-1]
 
     @property
     def outer_iterations(self) -> int:
@@ -149,14 +149,14 @@ def initial_phases(n_ris: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, size=n_ris)
 
 
-def _mrt(a: np.ndarray, p_max_w: float) -> np.ndarray | None:
+def _mrt(a: np.ndarray, p_max_w: float) -> np.ndarray:
     """Maximum-ratio transmission at full power, sqrt(P) a^H / ||a||, or
-    None for a zero row.  The row is scaled by its largest entry first, so
-    the norm (np.linalg.norm's sqrt(re.re + im.im), without its dispatch)
-    neither underflows nor overflows far off boresight."""
+    zero for a zero row (no signal, no leak).  The row is scaled by its
+    largest entry first, so its norm (np.linalg.norm's sqrt(re.re + im.im)
+    without its dispatch) neither underflows nor overflows off boresight."""
     peak = np.abs(a).max(initial=0.0)
     if peak == 0.0:
-        return None
+        return np.zeros(a.shape, dtype=complex)
     unit = a.conj() / peak
     re, im = unit.real, unit.imag
     return math.sqrt(p_max_w) * unit / np.sqrt(re.dot(re) + im.dot(im))
@@ -189,23 +189,22 @@ def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
     MRT when it keeps C1 (it maximizes |a w|^2 over ||w||^2 <= P), with
     the co-phased profile for it when that keeps C1 too (see _solve_phases)
     or alone when the phases are frozen; _c1_capped where MRT breaks C1.
-    Otherwise (a zero SU row, or a co-phased profile that breaks C1) w is
-    sqrt(lambda_1) q_1 of ``build_ws_problem``'s relaxed X, or the state's
-    beamformer when the relaxation is not solved to optimality.  The
+    Where MRT keeps C1 and its co-phased profile does not, w is
+    sqrt(lambda_1) q_1 of ``build_ws_problem``'s relaxed X, or MRT, the
+    relaxation's optimum, when it is not solved to optimality.  The
     relaxation is tight (a complex SDP with two constraints has a rank-one
     optimum: Huang & Palomar, IEEE TSP 2010), and lambda_1 q_1 q_1^H <= X
     meets both constraints whenever X does.
     """
     a, b = rows
     w = _mrt(a, scenario.p_max_w)
-    taken = None if w is None else (w, model.leak(b, w))
-    if taken and taken[1] > scenario.gamma_w:
+    taken = (w, model.leak(b, w))
+    if taken[1] > scenario.gamma_w:
         diag["ws_step"] = "closed-form"
         return _c1_capped(w, b, scenario), None, None
     move = (_cophased_within_cap(state.with_beamformer(w), rows, channels,
-                                 scenario, model)
-            if update_phases and w is not None else None)
-    if w is not None and (move is not None or not update_phases):
+                                 scenario, model) if update_phases else None)
+    if move is not None or not update_phases:
         diag["ws_step"] = "mrt"
         if move is not None:
             diag["phase_recovery"] = "cophase"
@@ -214,7 +213,7 @@ def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
     relaxed = sdp.solve(build_ws_problem(state, channels, scenario, rows))
     diag["ws_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
-        return state.w_s, None, None
+        return w, taken, None
     lam, q = sdp.principal_eigpair(relaxed.x)
     return np.sqrt(max(lam, 0.0)) * q, None, None
 

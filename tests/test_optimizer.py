@@ -1,15 +1,16 @@
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ris_crn import metrics, optimizer, sdp, srocr
+from ris_crn import experiments, metrics, optimizer, sdp, srocr
 from ris_crn.channels import generate_channels, pbs_beamformer, stream_rng
-from ris_crn.experiments import run_trial
+from ris_crn.experiments import METHODS, run_trial
 from ris_crn.metrics import (DesignState, effective_pu_row, effective_su_row,
                              pattern_gains, pu_interference, se_su, sinr_su)
 from ris_crn.optimizer import (build_phase_problem, build_ws_problem,
@@ -202,10 +203,11 @@ def test_c1_capped_beamformer_properties(n_s, seed, a_exp, b_exp, offset,
 
 @pytest.mark.parametrize("n_s", [2, 4])
 def test_zero_signal_beamformer_step(n_s, iid_scenario, monkeypatch):
-    """With h_s = G = 0 the objective is 0 and the IPM returns a
-    non-rank-one X.  Its principal eigenvector still meets both
-    constraints, so the step needs no re-solve and the design is feasible
-    with SE 0."""
+    """With h_s = G = 0 the SU row is zero, so every beamformer gives SE 0:
+    the step is the zero beamformer, which leaks nothing, taken as MRT
+    with no SDP, and the design is feasible with SE 0.  (While the step
+    solved the beamformer relaxation here, its objective was zero and the
+    IPM returned a non-rank-one X.)"""
     sc = apply_overrides(iid_scenario, {"n_s": n_s})
     ch = generate_channels(sc, seed=0)
     ch = dataclasses.replace(ch, h_s=np.zeros_like(ch.h_s),
@@ -221,15 +223,45 @@ def test_zero_signal_beamformer_step(n_s, iid_scenario, monkeypatch):
     monkeypatch.setattr(optimizer, "_beamformer_step", step_spy)
     log = _solve_log(monkeypatch)
     res = run_algorithm1(ch, sc, seed=0, fixed_tilt_deg=-30.0)
-    assert len(log) == 1
-    assert srocr._ratio_eigpair(solve(log[0]).x)[0] < srocr.RANK_TOL
-    # the one solve is the first step's, taken at the initial design
+    assert log == []
     (w,) = steps
-    step = DesignState(w, initial_phases(sc.n_ris, 0), -30.0)
-    assert np.vdot(step.w_s, step.w_s).real <= sc.p_max_w * (1 + 1e-6)
-    assert pu_interference(step, ch, sc) <= sc.gamma_w * (1 + 1e-6)
+    np.testing.assert_array_equal(w, np.zeros(n_s))
+    assert [d["ws_step"] for d in res.diagnostics] == ["mrt"]
     assert res.feasible
     assert res.se == 0.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_zero_pattern_gains_take_zero_beamformer(method, scenario,
+                                                 monkeypatch):
+    """With the SU and the RIS at 0 deg and the tilt at -180 deg, A_d and
+    A_r are exactly 0.0 (3,888 dB down), so the SU row is zero for every
+    method.  Each run solves no SDP and ends in one outer iteration with
+    the zero beamformer, SE 0.0 and ``feasible``, and no RuntimeWarning.
+    (While a zero row took the beamformer relaxation, each method solved
+    one n_s-dim SDP with a zero objective, whose beamformer had a max
+    modulus of about 0.99 and radiated toward the PU for no signal.)"""
+    sc = apply_overrides(scenario, {"theta_d_deg": 0.0, "theta_r_deg": 0.0})
+    state = DesignState(np.zeros(sc.n_s, dtype=complex), np.zeros(sc.n_ris),
+                        -180.0)
+    assert pattern_gains(state, sc)[:2] == (0.0, 0.0)
+    results = []
+    real = experiments.run_algorithm1
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "run_algorithm1", spy)
+    log = _solve_log(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trial = run_trial(sc, method, seed=0, fixed_tilt_deg=-180.0)
+    assert log == []
+    (res,) = results
+    np.testing.assert_array_equal(res.state.w_s, np.zeros(sc.n_s))
+    assert trial.se_bps_hz == 0.0 and trial.feasible
+    assert trial.outer_iterations == 1
 
 
 def test_phase_problem_zero_beamformer(iid_scenario):
@@ -463,22 +495,14 @@ def test_ipm_iteration_counts_pinned(scenario, iid_scenario, monkeypatch):
     is a C1-binding case where MRT breaks C1 and every phase step takes the
     certified projection: each outer iteration takes the closed-form
     beamformer and solves the phase relaxation, and no SROCR round."""
-    log = []
-    real = sdp.solve
-
-    def spy(problem):
-        sol = real(problem)
-        log.append((problem.c.shape[0], len(problem.constraints),
-                    sol.status, sol.iterations))
-        return sol
-
-    monkeypatch.setattr(sdp, "solve", spy)
+    log = _solve_log(monkeypatch)
     run_algorithm1(generate_channels(scenario, seed=0), scenario, seed=0)
     assert log == []
-    log.clear()
     iid4 = apply_overrides(iid_scenario, {"n_s": 4})
     run_trial(iid4, "proposed", seed=0, fixed_tilt_deg=-30.0)
-    assert log == [(21, 22, "optimal", iters) for iters in (11, 11, 10, 10)]
+    counts = [(p.c.shape[0], len(p.constraints), sol.status, sol.iterations)
+              for p, sol in zip(log, log.solutions)]
+    assert counts == [(21, 22, "optimal", iters) for iters in (11, 11, 10, 10)]
 
 
 @pytest.mark.parametrize("case", [
@@ -558,6 +582,42 @@ def test_c1_binding_phase_step_keeps_beamformer_sdp(iid_scenario,
     assert sum(p.dim == sc.n_s for p in log) == 3
 
 
+def test_failed_beamformer_relaxation_leaves_mrt(iid_scenario,
+                                                monkeypatch):
+    """Where the beamformer relaxation is not solved to optimality, MRT
+    stands: with C1 slack at MRT it is the relaxation's optimum.  Every
+    dense-only solve (the beamformer relaxation; the phase relaxations
+    carry the unit diagonal) of the iid n_s=4, -30 deg, seed-2 trial is
+    forced to end ``max-iterations``.  The trial still reaches the
+    relaxation 3 times, and each ``sdp`` step records that status and takes
+    MRT for its rows, bit for bit."""
+    sc = apply_overrides(iid_scenario, {"n_s": 4})
+    real_solve = sdp.solve
+
+    def forced(problem):
+        sol = real_solve(problem)
+        return (sol if problem.unit_diagonal
+                else dataclasses.replace(sol, status="max-iterations"))
+
+    monkeypatch.setattr(sdp, "solve", forced)
+    steps = []
+    real = optimizer._beamformer_step
+
+    def spy(state, rows, *args):
+        step = real(state, rows, *args)
+        steps.append((rows[0], step[0], args[-1]))
+        return step
+
+    monkeypatch.setattr(optimizer, "_beamformer_step", spy)
+    run_trial(sc, "proposed", seed=2, fixed_tilt_deg=-30.0)
+    relaxed = [(a, w, diag) for a, w, diag in steps
+               if diag["ws_step"] == "sdp"]
+    assert len(relaxed) == 3
+    for a, w, diag in relaxed:
+        assert diag["ws_sdp_status"] == "max-iterations"
+        np.testing.assert_array_equal(w, optimizer._mrt(a, sc.p_max_w))
+
+
 def _phase_objective(problem, l1, phases):
     """l1 + x^H H1 x at x = [e^{j phases}; 1]."""
     x = np.append(np.exp(1j * np.asarray(phases)), 1.0)
@@ -634,20 +694,14 @@ def test_binding_c1_runs_phase_sdp_with_srocr(iid_scenario, monkeypatch):
                                           channels, sc) > sc.gamma_w)
         return phases
 
-    shapes = []
-    real_solve = sdp.solve
-
-    def solve_spy(problem):
-        shapes.append((problem.c.shape[0], len(problem.constraints)))
-        return real_solve(problem)
-
     monkeypatch.setattr(optimizer, "cophased_phases", cophase_spy)
-    monkeypatch.setattr(sdp, "solve", solve_spy)
+    log = _solve_log(monkeypatch)
     res = run_algorithm1(ch, sc, seed=1, fixed_tilt_deg=-30.0)
     recoveries = [d["phase_recovery"] for d in res.diagnostics]
     assert [r != "cophase" for r in recoveries] == violations
     assert set(recoveries) - {"cophase"} == {"certified", "srocr"}
     n = sc.n_ris
+    shapes = [(p.c.shape[0], len(p.constraints)) for p in log]
     assert shapes.count((n + 1, n + 2)) == sum(violations)
 
 
@@ -702,14 +756,28 @@ def test_certified_phase_step_is_feasible_and_optimal(iid_scenario,
     assert all(certified[seed] > 0 for seed in (0, 1, 2, 3))
 
 
+class _SolveLog(list):
+    """Every problem passed to sdp.solve, in order, and in ``solutions``
+    what each solve returned."""
+
+    def __init__(self):
+        super().__init__()
+        self.solutions = []
+
+    def clear(self):
+        super().clear()
+        self.solutions.clear()
+
+
 def _solve_log(monkeypatch):
-    """Record every problem passed to sdp.solve."""
-    log = []
+    """Record every sdp.solve call in a _SolveLog."""
+    log = _SolveLog()
     real = sdp.solve
 
     def spy(problem):
         log.append(problem)
-        return real(problem)
+        log.solutions.append(real(problem))
+        return log.solutions[-1]
 
     monkeypatch.setattr(sdp, "solve", spy)
     return log
@@ -810,17 +878,10 @@ def test_failed_phase_solves_are_full_weight_rounds_with_no_interior(
     so the interior-point method fails on it.  That point meets C1 with a
     margin of 4% or more, so the round is feasible, not infeasible."""
     sc = apply_overrides(iid_scenario, {"n_s": 4})
-    log = []
-    real = sdp.solve
-
-    def spy(problem):
-        sol = real(problem)
-        log.append((problem, sol.status))
-        return sol
-
-    monkeypatch.setattr(sdp, "solve", spy)
+    log = _solve_log(monkeypatch)
     run_trial(sc, "proposed", seed=2, fixed_tilt_deg=-30.0)
-    failed = [problem for problem, status in log if status != "optimal"]
+    failed = [problem for problem, sol in zip(log, log.solutions)
+              if sol.status != "optimal"]
     assert len(failed) == 4
     for problem in failed:
         n = problem.dim
