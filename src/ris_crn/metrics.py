@@ -8,7 +8,10 @@ the SU and ``b = sqrt(A_i) f_p^H + e^{j alpha}^T C_b`` toward the PU, with
 direct rows, the cascade matrices and the SINR denominator.  ``rows`` forms
 both rows of a phase profile and ``sinr`` and ``leak`` take a row, so a
 caller that keeps a profile's rows forms them once.  ``run_algorithm1``
-builds one model per call; each public function builds one per evaluation.
+builds one model per call.  The public functions here and the optimizer's
+SDP builders take a ``DesignState`` and build one per evaluation; a model is
+a function of the tilt, channels and scenario alone, so theirs holds the
+same arrays as the loop's.
 """
 
 from __future__ import annotations
@@ -33,14 +36,6 @@ class DesignState:
     @property
     def ris_coefficients(self) -> np.ndarray:
         return np.exp(1j * self.phases)
-
-    def with_phases(self, phases: np.ndarray) -> "DesignState":
-        return DesignState(self.w_s, np.asarray(phases, dtype=float),
-                           self.theta_tilt_deg)
-
-    def with_beamformer(self, w_s: np.ndarray) -> "DesignState":
-        return DesignState(np.asarray(w_s, dtype=complex), self.phases,
-                           self.theta_tilt_deg)
 
 
 def pattern_gains(state: DesignState,

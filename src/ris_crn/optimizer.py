@@ -103,18 +103,17 @@ def select_tilt(scenario: Scenario) -> TiltDecision:
 # -- subproblem builders --------------------------------------------------
 
 def build_ws_problem(state: DesignState, channels: ChannelSet,
-                     scenario: Scenario,
-                     rows: tuple | None = None) -> sdp.SdpProblem:
+                     scenario: Scenario) -> sdp.SdpProblem:
     """Beamformer subproblem: max a W a^H s.t. b W b^H <= Gamma, tr W <= P,
     for the rows (a, b) under the state's phases."""
-    a, b = rows or link_model(state, channels, scenario).rows(state.phases)
+    a, b = link_model(state, channels, scenario).rows(state.phases)
     return sdp.SdpProblem(np.outer(a.conj(), a),
                           (np.outer(b.conj(), b), np.eye(scenario.n_s)),
                           (scenario.gamma_w, scenario.p_max_w))
 
 
 def build_phase_problem(state: DesignState, channels: ChannelSet,
-                        scenario: Scenario, model: LinkModel | None = None):
+                        scenario: Scenario):
     """Phase subproblem in homogenized form.
 
     Returns (SdpProblem over X of size N+1, l1, l2) with objective
@@ -124,7 +123,7 @@ def build_phase_problem(state: DesignState, channels: ChannelSet,
     with its corner moved into l1, and H2, l2 likewise from the PU row.  No
     entry passes through A_d A_r, which underflows far off boresight.
     """
-    model = model or link_model(state, channels, scenario)
+    model = link_model(state, channels, scenario)
     n = scenario.n_ris
 
     def homogenized(cascade, direct):
@@ -202,15 +201,15 @@ def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
     if taken[1] > scenario.gamma_w:
         diag["ws_step"] = "closed-form"
         return _c1_capped(w, b, scenario), None, None
-    move = (_cophased_within_cap(state.with_beamformer(w), rows, channels,
-                                 scenario, model) if update_phases else None)
+    move = (_cophased_within_cap(w, state.phases, rows, channels, scenario,
+                                 model) if update_phases else None)
     if move is not None or not update_phases:
         diag["ws_step"] = "mrt"
         if move is not None:
             diag["phase_recovery"] = "cophase"
         return w, taken, move
     diag["ws_step"] = "sdp"
-    relaxed = sdp.solve(build_ws_problem(state, channels, scenario, rows))
+    relaxed = sdp.solve(build_ws_problem(state, channels, scenario))
     diag["ws_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
         return w, taken, None
@@ -218,30 +217,31 @@ def _beamformer_step(state: DesignState, rows: tuple, channels: ChannelSet,
     return np.sqrt(max(lam, 0.0)) * q, None, None
 
 
-def cophased_phases(state: DesignState, channels: ChannelSet) -> np.ndarray:
-    """Phases that add every reflected path in phase with the direct one:
-    alpha_n = arg(h_s^H w) - arg(conj(u_n) (G w)_n), each arg taken as
-    np.angle takes it, arctan2(imag, real), without its dispatch.
+def cophased_phases(w: np.ndarray, channels: ChannelSet) -> np.ndarray:
+    """Phases that add every reflected path in phase with the direct one
+    under the beamformer w: alpha_n = arg(h_s^H w) - arg(conj(u_n) (G w)_n),
+    each arg taken as np.angle takes it, arctan2(imag, real), without its
+    dispatch.
 
     The tilt gains only scale each path by a positive amount and do not
     enter, so the angles stay right where A_d underflows to zero.
     """
-    w = state.w_s
     c = np.vdot(channels.h_s, w)
     z = channels.u.conj() * (channels.G @ w)
     return np.arctan2(c.imag, c.real) - np.arctan2(z.imag, z.real)
 
 
-def _cophased_within_cap(state: DesignState, rows: tuple,
+def _cophased_within_cap(w: np.ndarray, phases: np.ndarray, rows: tuple,
                          channels: ChannelSet, scenario: Scenario,
                          model: LinkModel):
-    """(phases, their rows (``rows`` if unchanged), (w, |b w|^2)) of the
-    co-phased profile for the state's beamformer w if it keeps C1."""
-    phases = cophased_phases(state, channels)
-    if phases.tobytes() != state.phases.tobytes():
-        rows = model.rows(phases)
-    taken = (state.w_s, model.leak(rows[1], state.w_s))
-    return (phases, rows, taken) if taken[1] <= scenario.gamma_w else None
+    """(co-phased profile, its rows, (w, |b w|^2)) for the beamformer w if
+    that profile keeps C1; ``rows`` are those of ``phases``, the current
+    profile, and are reused if the co-phased profile is the same."""
+    cophased = cophased_phases(w, channels)
+    if cophased.tobytes() != phases.tobytes():
+        rows = model.rows(cophased)
+    taken = (w, model.leak(rows[1], w))
+    return (cophased, rows, taken) if taken[1] <= scenario.gamma_w else None
 
 
 def _sdr_gap(problem: sdp.SdpProblem, bound: float,
@@ -277,24 +277,23 @@ def _solve_phases(state: DesignState, rows: tuple, channels: ChannelSet,
     ``phase_sdr_gap`` is the relative gap to tr(H1 X) of the phases taken,
     on every step that solved the relaxation.
     """
-    cophased = _cophased_within_cap(state, rows, channels, scenario, model)
+    cophased = _cophased_within_cap(state.w_s, state.phases, rows, channels,
+                                    scenario, model)
     if cophased is not None:
         diag["phase_recovery"] = "cophase"
         return cophased
-    problem, _, _ = build_phase_problem(state, channels, scenario, model)
+    problem, _, _ = build_phase_problem(state, channels, scenario)
     relaxed = sdp.solve(problem)
     diag["phase_sdp_status"] = relaxed.status
     if relaxed.status != "optimal":
         return state.phases, rows, None
-    eigpair = sdp.principal_eigpair(relaxed.x)
-    unit = srocr.project_unit_modulus(eigpair[1])
+    unit = srocr.project_unit_modulus(sdp.principal_eigpair(relaxed.x)[1])
     phases = np.angle(unit[:-1] * unit[-1].conj())
     gap, x = _sdr_gap(problem, relaxed.objective, phases)
     if gap <= sdp.TOL and np.vdot(x, problem.a[0] @ x).real <= problem.b[0]:
         diag["phase_recovery"] = "certified"
     else:
-        result = srocr.refine(problem, relaxed, unit_modulus=True,
-                              eigpair=eigpair)
+        result = srocr.refine(problem, relaxed, unit_modulus=True)
         diag["phase_srocr_ratio"] = result.ratio
         diag["phase_srocr_iters"] = result.iterations
         if result.feasible:

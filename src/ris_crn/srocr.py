@@ -45,15 +45,13 @@ class RankOneResult:
     feasible: bool
 
 
-def _ratio_eigpair(x: np.ndarray,
-                   eigpair=None) -> tuple[float, float, np.ndarray]:
+def _ratio_eigpair(x: np.ndarray) -> tuple[float, float, np.ndarray]:
     """lambda_1 / tr as a rank-one progress measure, in [1/n, 1], with the
-    principal eigenpair it is computed from (``eigpair``, when given, is
-    ``sdp.principal_eigpair(x)``)."""
+    principal eigenpair it is computed from."""
     tr = float(np.trace(x).real)
     if tr <= 0:
         raise SrocrError(f"trace must be > 0, got {tr}")
-    lam, q = sdp.principal_eigpair(x) if eigpair is None else eigpair
+    lam, q = sdp.principal_eigpair(x)
     return min(lam / tr, 1.0), lam, q
 
 
@@ -80,16 +78,15 @@ def _align_direction(q: np.ndarray, unit_modulus: bool) -> np.ndarray:
 
 
 def refine(problem: SdpProblem, relaxed: SdpSolution,
-           unit_modulus: bool = False, eigpair=None) -> RankOneResult:
-    """Tighten the relaxed solution toward rank one.  ``eigpair`` is the
-    relaxed X's ``sdp.principal_eigpair``, when the caller already has it."""
+           unit_modulus: bool = False) -> RankOneResult:
+    """Tighten the relaxed solution toward rank one."""
     if relaxed.status != "optimal":
         raise SrocrError(f"relaxed solution status is {relaxed.status}")
 
     # x is the last accepted solution; its eigenpair serves both the next
     # round's alignment and the final extraction
     x = relaxed.x
-    ratio, lam, q = _ratio_eigpair(x, eigpair)
+    ratio, lam, q = _ratio_eigpair(x)
     w = ratio
     delta = DELTA_INIT
     n = problem.dim

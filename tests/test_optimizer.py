@@ -544,7 +544,7 @@ def test_c1_slack_iterations_take_closed_form(case, scenario, iid_scenario,
     np.testing.assert_allclose(res.state.w_s, w, rtol=1e-15)
     np.testing.assert_array_equal(res.state.phases, phases)
     np.testing.assert_allclose(np.exp(1j * phases),
-                               np.exp(1j * cophased_phases(res.state, ch)),
+                               np.exp(1j * cophased_phases(res.state.w_s, ch)),
                                atol=1e-12)
     assert res.feasible
 
@@ -564,8 +564,8 @@ def test_c1_binding_phase_step_keeps_beamformer_sdp(iid_scenario,
 
     def spy(state, *args):
         a = effective_su_row(state, ch, sc)
-        mrt = state.with_beamformer(np.sqrt(sc.p_max_w) * a.conj()
-                                    / np.linalg.norm(a))
+        mrt = dataclasses.replace(state, w_s=np.sqrt(sc.p_max_w) * a.conj()
+                                  / np.linalg.norm(a))
         mrt_slack.append(pu_interference(mrt, ch, sc) <= sc.gamma_w)
         step = real(state, *args)
         if mrt_slack[-1]:
@@ -637,8 +637,9 @@ def test_cophased_phases_reach_relaxation_bound_when_c1_slack(
         sc, seed = scenario, int(case.split("-")[1])
     ch = generate_channels(sc, seed=seed)
     state = run_algorithm1(ch, sc, seed=seed).state
-    cophased = cophased_phases(state, ch)
-    assert pu_interference(state.with_phases(cophased), ch, sc) <= sc.gamma_w
+    cophased = cophased_phases(state.w_s, ch)
+    assert pu_interference(dataclasses.replace(state, phases=cophased), ch,
+                           sc) <= sc.gamma_w
     problem, l1, _ = build_phase_problem(state, ch, sc)
     relaxed = solve(problem)
     assert relaxed.status == "optimal"
@@ -688,9 +689,9 @@ def test_binding_c1_runs_phase_sdp_with_srocr(iid_scenario, monkeypatch):
     violations = []
     real_cophase = optimizer.cophased_phases
 
-    def cophase_spy(state, channels):
-        phases = real_cophase(state, channels)
-        violations.append(pu_interference(state.with_phases(phases),
+    def cophase_spy(w, channels):
+        phases = real_cophase(w, channels)
+        violations.append(pu_interference(DesignState(w, phases, -30.0),
                                           channels, sc) > sc.gamma_w)
         return phases
 
