@@ -16,21 +16,35 @@ X A_j Zinv products.  The first ``solve`` of a process imports the LAPACK
 bindings, so a process that solves no SDP never loads scipy.linalg.
 
 Set-up runs once per solve: it scales every dense term to unit size (a
-unit-diagonal row already has it) and allocates the buffers that each
-iteration rewrites in place.  At these sizes an iteration costs mostly
-numpy call overhead, so it makes few calls, but its arithmetic and the
-order of every reduction are fixed: the norms are np.linalg.norm's dot
-products, the Schur diagonal is s_i / y_i and every symmetrization stays.
+unit-diagonal row already has it), allocates every array an iteration
+rewrites, the iterate included, and takes the views into them once.  An
+iteration then pays for its LAPACK and BLAS calls (two zpotrf and two
+ztrtri, run in place, one dgetrf, two dgetrs, two eigvalsh on a stack of
+two matrices and about twenty complex n x n products) and about 150 small
+numpy calls that allocate almost nothing.  With n = 21 and one dense row
+that is about 330 us an iteration on a 2-vCPU Xeon (numpy 2.4, OpenBLAS
+0.3.31), two thirds of it in the LAPACK and BLAS calls and a third in
+eigvalsh alone.
+
+The iterates are fixed bit for bit, so a faster kernel has to reproduce
+them: each LAPACK and BLAS call sees the same operands, the norms are
+np.linalg.norm's strided dot products, mu and the objective take vdot's
+conjugated dot product, the Schur diagonal is s_i / y_i, every
+symmetrization 0.5 (T + T^H) stays and no reduction is reordered.
 Reordering any of them moves the iterates at rounding level, and with them
-the SROCR path and the reported SE.
+the SROCR path and the reported SE; tests/data/sdp_pin.json pins every
+solve of six trials to the last bit.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigvalsh_lo
 
 HERM_TOL = 1e-12
 TOL = 1e-7          # relative residuals and gap of an optimal solve
@@ -66,9 +80,16 @@ class SdpProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "c", check_hermitian(self.c, "objective"))
+        a, b = self._checked_rows(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def _checked_rows(self, a, b):
+        """The dense rows (a, b) as Hermitian matrices of the objective's
+        shape and finite floats, or SdpError."""
         n = self.dim
-        a = tuple(check_hermitian(mat, "constraint matrix") for mat in self.a)
-        b = tuple(float(v) for v in self.b)
+        a = tuple(check_hermitian(mat, "constraint matrix") for mat in a)
+        b = tuple(float(v) for v in b)
         if len(a) != len(b):
             raise SdpError(f"{len(a)} constraint matrices but {len(b)} bounds")
         for mat in a:
@@ -77,8 +98,7 @@ class SdpProblem:
                                f"not match objective dimension {n}")
         if not all(map(math.isfinite, b)):
             raise SdpError("constraint bound must be finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        return a, b
 
     @property
     def dim(self) -> int:
@@ -95,8 +115,14 @@ class SdpProblem:
         return rows
 
     def with_constraint(self, a, b) -> "SdpProblem":
-        return SdpProblem(self.c, self.a + (a,), self.b + (b,),
-                          self.unit_diagonal)
+        """This problem with the dense row (a, b) appended.  Only the new
+        row is checked: the others passed the checks already, and checking
+        a Hermitian matrix again returns it unchanged."""
+        (a,), (b,) = self._checked_rows((a,), (b,))
+        grown = copy.copy(self)
+        object.__setattr__(grown, "a", self.a + (a,))
+        object.__setattr__(grown, "b", self.b + (b,))
+        return grown
 
     def constraint_violation(self, x: np.ndarray) -> float:
         """Worst relative violation of the constraints at X = x."""
@@ -135,14 +161,37 @@ def principal_eigpair(x: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, q
 
 
-def _max_steps(linv: np.ndarray, dmats: np.ndarray) -> list[float]:
+def _eigenvalues_did_not_converge(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+# np.linalg.eigvalsh's gufunc under its error state, so a LAPACK failure
+# still raises LinAlgError, without the wrapper's argument checks
+_eigvalsh = np.errstate(call=_eigenvalues_did_not_converge, invalid="call",
+                        over="ignore", divide="ignore",
+                        under="ignore")(eigvalsh_lo)
+
+
+def _hermitian_part(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """0.5 * (t + t^H) into ``out``, which must not share memory with t."""
+    # copying the transpose and conjugating in place is faster than
+    # conjugating the strided view
+    out[...] = t.swapaxes(-1, -2)
+    np.conjugate(out, out)
+    np.add(t, out, out)
+    return np.multiply(0.5, out, out)
+
+
+def _max_steps(linv: np.ndarray, linv_h: np.ndarray,
+               dmats: np.ndarray) -> list[float]:
     """Largest alpha with mat + alpha*dmat PSD, for each stacked pair.
 
     ``linv`` stacks the inverse lower Cholesky factors of the matrices,
-    mat = (linv^-1)(linv^-1)^H; the step is inf when dmat is PSD.
+    mat = (linv^-1)(linv^-1)^H, and ``linv_h`` their conjugate transposes;
+    the step is inf when dmat is PSD.
     """
-    w = linv @ dmats @ linv.conj().swapaxes(-1, -2)
-    lam_min = np.linalg.eigvalsh(0.5 * (w + w.conj().swapaxes(-1, -2)))[:, 0]
+    w = linv @ dmats @ linv_h
+    lam_min = _eigvalsh(_hermitian_part(w, np.empty_like(w)))[:, 0]
     return [np.inf if lam >= 0 else -1.0 / lam for lam in lam_min]
 
 
@@ -163,23 +212,37 @@ def _unit_scale(mat: np.ndarray, b: float = 0.0) -> float:
     return scale
 
 
-def _schur_complement(x: np.ndarray, zinv: np.ndarray, amats: np.ndarray,
-                      aconj_flat: np.ndarray, unit_diagonal: bool):
+def _schur_complement(x: np.ndarray, zinv: np.ndarray, t: np.ndarray,
+                      aconj_flat: np.ndarray, unit_diagonal: bool,
+                      out: np.ndarray):
     """HKM Schur complement M_ij = Re tr(A_i X A_j Zinv) of the dense rows
-    ``amats`` (``aconj_flat`` holds their conjugates, one row each),
-    followed with ``unit_diagonal`` by the rows X_pp = 1 (A = e_p e_p^T).
+    (``aconj_flat`` holds their conjugates, one row each, and ``t`` the
+    products X A_j Zinv), followed with ``unit_diagonal`` by the rows
+    X_pp = 1 (A = e_p e_p^T).  Returns a function of no arguments that
+    writes M into ``out`` from the current contents of x, zinv and t, which
+    are rewritten in place between calls.
 
     Swapping i and j conjugates the trace, so M is symmetric.  Two diagonal
     rows p and q meet in Re(X_pq Zinv_qp), and a diagonal row p meets a
     dense row j in Re(X A_j Zinv)_pp, so only the dense rows need the
     products X A_j Zinv.
     """
-    t = x @ amats @ zinv                       # (dense rows, n, n)
-    dense_block = (aconj_flat @ t.reshape(aconj_flat.shape).T).real
-    if not unit_diagonal:
-        return dense_block
+    k = len(t)
+    t_flat = t.reshape(aconj_flat.shape).T
     cross = t.diagonal(axis1=1, axis2=2).real  # (dense rows, n)
-    return np.block([[dense_block, cross], [cross.T, (x * zinv.T).real]])
+    dense_block, cross_block = out[:k, :k], out[:k, k:]
+    cross_block_t, diagonal_block = out[k:, :k], out[k:, k:]
+    zinv_t = zinv.T
+    prod = np.empty_like(x)
+
+    def apply():
+        dense_block[...] = np.dot(aconj_flat, t_flat).real
+        if unit_diagonal:
+            cross_block[...] = cross
+            cross_block_t[...] = cross.T
+            diagonal_block[...] = np.multiply(x, zinv_t, prod).real
+        return out
+    return apply
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -202,18 +265,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     aconj_flat = amats.conj().reshape(k, n * n)
     a_flat = amats.reshape(k, n * n)
 
-    def opA(xmat):  # <A_i, X> for all i
-        ax = (aconj_flat @ xmat.ravel()).real
-        if unit_diagonal:
-            return np.concatenate([ax, xmat.diagonal().real])
-        return ax
-
-    def opAt(yvec):  # sum_i y_i A_i
-        t = (yvec[:k] @ a_flat).reshape(n, n)
-        if unit_diagonal:
-            t.flat[::n + 1] += yvec[k:]
-        return t
-
     ident = np.eye(n, dtype=complex)
     c_frob = float(np.linalg.norm(cmat))
     tau = max(1.0, float(np.abs(bvec).max(initial=1.0)))
@@ -226,48 +277,118 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     b_norm = 1.0 + float(np.linalg.norm(bvec))
     c_norm = 1.0 + c_frob
-    cconj_flat = cmat.conj().ravel()
+    mu_den = n + max(k, 1)
     status = "max-iterations"
     iters = 0
 
-    # rewritten in place every iteration
-    linv = np.empty((2, n, n), dtype=complex)  # inverse Cholesky factors
+    # Every array below, and the iterate above, is rewritten in place, and
+    # the views into them are taken here once.
+    def square():
+        return np.empty((n, n), dtype=complex)
+
+    # the dense rows' matrices and the dual residual share one stack, so
+    # one product X [A_1 .. A_k, rd] Zinv serves both the Schur complement
+    # and the right-hand side
+    stack = np.empty((k + 1, n, n), dtype=complex)
+    stack[:k] = amats
+    rd = stack[k]                              # dual residual (Hermitian)
+    rd_flat = rd.reshape(n * n)
+    rd_re, rd_im = rd_flat.real, rd_flat.imag
+    xs, xsz = np.empty_like(stack), np.empty_like(stack)   # X stack (Zinv)
+    rp = np.empty(m)                           # primal residual
+    ax = np.empty(m)                           # A(X) or A(corr), as used
+    at = square()                              # A^T(y) or A^T(dy), as used
+    at_flat = at.reshape(n * n)
+    at_diag = at_flat[::n + 1]
+    yc = np.zeros(m, dtype=complex)            # y or dy, cast once for A^T
+    yc_re, yc_dense, yc_rest = yc.real, yc[:k], yc[k:]
+    # inverse lower Cholesky factors of X and Z, each Fortran-ordered so
+    # that zpotrf and ztrtri work in place, their conjugates in the same
+    # order and their adjoints
+    linv = np.empty((2, n, n), dtype=complex).swapaxes(-1, -2)
+    linv_x, linv_z = linv
+    linv_c = np.empty((2, n, n), dtype=complex).swapaxes(-1, -2)
+    linv_h = linv_c.swapaxes(-1, -2)
+    zinv, prod, prod2, work = square(), square(), square(), square()
+    corr = square()                            # the corrector's dx dz Zinv
+    big_m = np.empty((m, m))                   # Schur complement
+    sy_diag = np.zeros((m, m))                 # diag(s_i / y_i)
+    sy_dense = sy_diag.reshape(m * m)[:k * (m + 1):m + 1]
+    inv_y = np.zeros(m)                        # 1 / y_i on the "<=" rows
+    base, ta, rhs = np.empty(m), np.empty(m), np.empty(m)
     dmats = np.empty((2, n, n), dtype=complex)
     dx, dz = dmats                             # the current step
-    sy_diag = np.zeros((m, m))                 # diag(s_i / y_i)
-    inv_y = np.zeros(m)                        # 1 / y_i on the "<=" rows
+    dx_flat = dx.reshape(n * n)
+    ds_a, ds = np.zeros(m), np.zeros(m)        # slack steps; 0 on the
+    ds_a_dense, ds_dense = ds_a[:k], ds[:k]    # diagonal rows
+    rp_dense, s_dense = rp[:k], s[:k]
+    y_dense, inv_y_dense = y[:k], inv_y[:k]
+
+    def opA(mat, out):
+        """A(mat) -> out, as a function of no arguments: <A_i, mat> on the
+        dense rows, Re mat_pp on the unit-diagonal ones."""
+        flat, diag = mat.reshape(n * n), mat.diagonal().real
+        dense, rest = out[:k], out[k:]
+
+        def apply():
+            dense[...] = np.dot(aconj_flat, flat).real
+            if unit_diagonal:
+                rest[...] = diag
+            return out
+        return apply
+
+    def opAt(yvec):  # sum_i y_i A_i, into at
+        yc_re[...] = yvec
+        np.dot(yc_dense, a_flat, at_flat)
+        if unit_diagonal:
+            np.add(at_diag, yc_rest, at_diag)
+        return at
+
+    a_x, a_corr = opA(x, ax), opA(corr, ax)
+    a_xsz = opA(xsz[k], base)                  # <A_i, X rd Zinv>
+    a_zinv = opA(zinv, ta)
+    schur = _schur_complement(x, zinv, xsz[:k], aconj_flat, unit_diagonal,
+                              big_m)
 
     def certificate():
-        """Residuals, dual objective and relative gap at the current iterate."""
-        rp = bvec - opA(x) - s                     # primal residual
-        rd = cmat - opAt(y) + z                    # dual residual (Hermitian)
-        pobj = float(np.dot(cconj_flat, x.ravel()).real)
-        dobj = float(bvec @ y)
+        """Dual objective, residual norms and relative gap at the current
+        iterate; leaves the residuals in rp and rd."""
+        np.subtract(bvec, a_x(), rp)
+        np.subtract(rp, s, rp)
+        np.subtract(cmat, opAt(y), rd)
+        np.add(rd, z, rd)
+        pobj = float(np.vdot(cmat, x).real)
+        dobj = float(bvec.dot(y))
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return (rp, rd, dobj, math.sqrt(rp.dot(rp)) / b_norm,
-                float(np.linalg.norm(rd)) / c_norm, gap)
+        # np.linalg.norm(rd): the same two strided dot products
+        return (dobj, math.sqrt(rp.dot(rp)) / b_norm,
+                math.sqrt(rd_re.dot(rd_re) + rd_im.dot(rd_im)) / c_norm, gap)
 
-    def direction(sigma_mu, corr_term=None, corr_lp=None):
+    def direction(sigma_mu, ds_dense, corr_term=None, corr_lp=None):
         """Newton step for centring target sigma_mu, with the corrector's
-        second-order terms; writes (dx, dz) and returns (dy, ds)."""
-        rhs = base + sigma_mu * ta
+        second-order terms; writes (dx, dz) and the dense rows' slack step
+        ds_dense and returns dy."""
+        np.multiply(sigma_mu, ta, rhs)
+        np.add(base, rhs, rhs)
         if corr_lp is not None:
-            rhs = rhs - corr_lp * inv_y
+            np.subtract(rhs, corr_lp * inv_y, rhs)
         if corr_term is not None:
-            rhs = rhs - opA(corr_term)
+            np.subtract(rhs, a_corr(), rhs)
         dy = dgetrs(lu, piv, rhs)[0]
-        t = opAt(dy) - rd
-        np.multiply(0.5, t + t.conj().T, out=dz)
-        t = sigma_mu * zinv - x - x @ dz @ zinv
+        np.subtract(opAt(dy), rd, at)
+        _hermitian_part(at, dz)
+        np.multiply(sigma_mu, zinv, work)
+        np.subtract(work, x, work)
+        np.dot(x, dz, prod)
+        np.subtract(work, np.dot(prod, zinv, prod2), work)
         if corr_term is not None:
-            t = t - corr_term
-        np.multiply(0.5, t + t.conj().T, out=dx)
-        ds = np.zeros(m)
-        ds[:k] = rp[:k] - (aconj_flat @ dx.ravel()).real
-        return dy, ds
+            np.subtract(work, corr_term, work)
+        _hermitian_part(work, dx)
+        np.subtract(rp_dense, np.dot(aconj_flat, dx_flat).real, ds_dense)
+        return dy
 
     def step_lengths(dy, ds):
-        ap, ad = _max_steps(linv, dmats)
+        ap, ad = _max_steps(linv, linv_h, dmats)
         # far off boresight the data is ~1e-235 and a ratio can overflow;
         # Python's float division gives inf then, an unbounded step
         for i in range(k):
@@ -278,9 +399,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         return min(1.0, 0.98 * ap), min(1.0, 0.98 * ad)
 
     for iters in range(1, MAX_ITERS + 1):
-        rp, rd, dobj, pres, dres, gap = certificate()
-        mu = (float(np.dot(x.conj().ravel(), z.ravel()).real)
-              + float(s @ y)) / (n + max(k, 1))
+        dobj, pres, dres, gap = certificate()
+        mu = (float(np.vdot(x, z).real) + float(s.dot(y))) / mu_den
 
         if pres <= TOL and dres <= TOL and gap <= TOL:
             status = "optimal"
@@ -294,30 +414,29 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # inverse lower Cholesky factors of X and Z; zpotrf zeroes the
         # factor's upper triangle and ztrtri leaves it so
-        ell_x, info_x = zpotrf(x, lower=1)
-        ell_z, info_z = zpotrf(z, lower=1)
+        linv_x[...] = x
+        linv_z[...] = z
+        info_x = zpotrf(linv_x, lower=1, overwrite_a=1)[1]
+        info_z = zpotrf(linv_z, lower=1, overwrite_a=1)[1]
         if info_x or info_z:
             status = "numerical-failure"
             break
-        linv_x, info_x = ztrtri(ell_x, lower=1)
-        linv_z, info_z = ztrtri(ell_z, lower=1)
+        info_x = ztrtri(linv_x, lower=1, overwrite_c=1)[1]
+        info_z = ztrtri(linv_z, lower=1, overwrite_c=1)[1]
         if info_x or info_z:
             status = "numerical-failure"
             break
-        linv[0] = linv_x
-        linv[1] = linv_z
-        zinv = linv_z.conj().T @ linv_z
-        zinv = 0.5 * (zinv + zinv.conj().T)
+        np.conjugate(linv, linv_c)
+        _hermitian_part(np.dot(linv_h[1], linv_z, prod), zinv)
 
         # Schur complement M_ij = <A_i, X A_j Zinv> (+ s_i/y_i on the
         # diagonal); s/y, not s * (1/y), which rounds differently
-        for i in range(k):
-            sy_diag[i, i] = s[i] / y[i]
-            inv_y[i] = 1.0 / y[i]
-        big_m = (_schur_complement(x, zinv, amats, aconj_flat, unit_diagonal)
-                 + sy_diag)
-        base = opA(x @ rd @ zinv) - bvec
-        ta = opA(zinv) + inv_y                     # tr(A_i Zinv) + 1/y_i
+        np.divide(s_dense, y_dense, sy_dense)
+        np.divide(1.0, y_dense, inv_y_dense)
+        np.matmul(np.matmul(x, stack, xs), zinv, xsz)
+        np.add(schur(), sy_diag, big_m)
+        np.subtract(a_xsz(), bvec, base)
+        np.add(a_zinv(), inv_y, ta)                # tr(A_i Zinv) + 1/y_i
 
         # a zero pivot (info > 0): the Schur complement is exactly singular
         lu, piv, info = dgetrf(big_m)
@@ -326,24 +445,24 @@ def solve(problem: SdpProblem) -> SdpSolution:
             break
 
         # predictor
-        dy_a, ds_a = direction(0.0)
+        dy_a = direction(0.0, ds_a_dense)
         ap, ad = step_lengths(dy_a, ds_a)
-        mu_aff = (float(np.dot((x + ap * dx).conj().ravel(),
-                               (z + ad * dz).ravel()).real)
-                  + float((s + ap * ds_a) @ (y + ad * dy_a))) / (n + max(k, 1))
+        mu_aff = (float(np.vdot(x + ap * dx, z + ad * dz).real)
+                  + float((s + ap * ds_a).dot(y + ad * dy_a))) / mu_den
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
 
         # corrector; its second-order term is taken before dx, dz move on
-        dy, ds = direction(sigma * mu, corr_term=dx @ dz @ zinv,
-                           corr_lp=dy_a * ds_a)
+        dy = direction(sigma * mu, ds_dense,
+                       corr_term=np.dot(np.dot(dx, dz, prod), zinv, corr),
+                       corr_lp=dy_a * ds_a)
         ap, ad = step_lengths(dy, ds)
         if ap <= 1e-14 and ad <= 1e-14:
             status = "numerical-failure"
             break
-        x = x + ap * dx
-        s = s + ap * ds
-        y = y + ad * dy
-        z = z + ad * dz
+        x += ap * dx
+        s += ap * ds
+        y += ad * dy
+        z += ad * dz
         for i in range(k):
             if s[i] < 1e-300:
                 s[i] = 1e-300
@@ -351,8 +470,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 y[i] = 1e-300
 
     x_out = 0.5 * (x + x.conj().T)
-    objective = float(np.dot(problem.c.conj().ravel(), x_out.ravel()).real)
-    _, _, _, pres, dres, gap = certificate()
+    objective = float(np.vdot(problem.c, x_out).real)
+    _, pres, dres, gap = certificate()
     return SdpSolution(x=x_out, objective=objective, status=status,
                        iterations=iters, primal_residual=pres,
                        dual_residual=dres, gap=gap)

@@ -1,10 +1,21 @@
-import multiprocessing
+import os
+import sys
 
-import numpy as np
-import pytest
+# One BLAS thread, as perfbench/env.py pins it: the solver's matrices are
+# far too small to gain from threads, and a second BLAS thread contending
+# with another process slows scipy's L-BFGS-B twenty-fold.  OpenBLAS reads
+# these when numpy loads, so they must be set before that.
+assert "numpy" not in sys.modules, "numpy loaded before the BLAS thread pin"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from ris_crn.channels import generate_channels
-from ris_crn.scenario import apply_overrides, paper_default
+import multiprocessing  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ris_crn.channels import generate_channels  # noqa: E402
+from ris_crn.scenario import apply_overrides, paper_default  # noqa: E402
 
 
 @pytest.fixture(scope="session")

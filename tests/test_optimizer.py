@@ -1196,3 +1196,57 @@ def test_pathloss_solve_pinned_bitwise(seed, scenario):
     assert [se.hex() for se in res.se_trace] == pin["se_trace"]
     assert res.state.w_s.astype("<c16").tobytes().hex() == pin["w_s"]
     assert res.state.phases.astype("<f8").tobytes().hex() == pin["phases"]
+
+
+# -- tight-cap regression set ---------------------------------------------
+
+TIGHT_CAPS = [pytest.param(n_s, n_ris, gamma, seed,
+                           id=f"ns{n_s}-N{n_ris}-gamma{gamma:.0e}-seed{seed}")
+              for n_s in (1, 4, 8) for n_ris in (2, 8, 20)
+              for gamma in (1e-6, 1e-9, 1e-12) for seed in (5, 8)]
+
+
+def _tight_cap_runs(iid_scenario, n_s, n_ris, gamma, seed):
+    """The proposed run at -30 deg and its update_phases=False baseline."""
+    sc = apply_overrides(iid_scenario,
+                         {"n_s": n_s, "n_ris": n_ris, "gamma_w": gamma})
+    ch = generate_channels(sc, seed=seed)
+    return sc, [run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=-30.0,
+                               update_phases=update)
+                for update in (True, False)]
+
+
+@pytest.mark.parametrize("n_s, n_ris, gamma, seed", TIGHT_CAPS)
+def test_tight_cap_run_feasible_monotone(n_s, n_ris, gamma, seed,
+                                         iid_scenario):
+    """At tight interference caps (iid, -30 deg), where phase SDPs end
+    non-optimal and phase recovery falls back to randomization, a run is
+    still feasible, its SE trace never drops, its RIS coefficients have
+    unit modulus, it raises no RuntimeWarning, and it ends at no less SE
+    than the same run with the phases kept at their initialization."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sc, (res, baseline) = _tight_cap_runs(iid_scenario, n_s, n_ris,
+                                              gamma, seed)
+    assert res.feasible
+    assert res.pu_interference_w <= sc.gamma_w * (1 + 1e-6)
+    assert res.power_w <= sc.p_max_w * (1 + 1e-6)
+    assert all(b >= a for a, b in zip(res.se_trace, res.se_trace[1:]))
+    np.testing.assert_allclose(np.abs(res.state.ris_coefficients), 1.0,
+                               rtol=1e-15)
+    assert res.se >= baseline.se
+
+
+def test_tight_cap_set_reaches_non_optimal_exits(iid_scenario):
+    """The set above holds phase steps that fall back to randomization
+    (n_s=4, N=2, Gamma=1e-9, seed 8), phase relaxations that end
+    ``max-iterations`` (n_s=8, N=8, Gamma=1e-9) and the n_s=8, N=20,
+    Gamma=1e-9 runs whose phase relaxation ends ``numerical-failure`` when
+    C1's bound is ~1e-11 of ||H2||_F."""
+    cases = {(4, 2, 1e-9, 8): ("phase_recovery", "randomization"),
+             (8, 8, 1e-9, 5): ("phase_sdp_status", "max-iterations"),
+             (8, 20, 1e-9, 5): ("phase_sdp_status", "numerical-failure"),
+             (8, 20, 1e-9, 8): ("phase_sdp_status", "numerical-failure")}
+    for (n_s, n_ris, gamma, seed), (key, value) in cases.items():
+        _, (res, _) = _tight_cap_runs(iid_scenario, n_s, n_ris, gamma, seed)
+        assert value in {d.get(key) for d in res.diagnostics}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ import pytest
 
 import ris_crn
 from ris_crn import sdp
+from ris_crn.experiments import run_trial
+from ris_crn.scenario import apply_overrides, paper_default
 from ris_crn.sdp import (SdpProblem, _max_steps, _schur_complement,
                          _unit_scale, check_hermitian, principal_eigpair,
                          solve)
@@ -85,6 +89,14 @@ def test_unit_diagonal_violation_and_with_constraint():
     grown = problem.with_constraint(-np.eye(3), -1.0)
     assert grown.unit_diagonal and grown.b == (2.0, -1.0)
     assert len(grown.constraints) == 5
+    # the checked rows are kept as they are; only the new one is checked
+    assert grown.c is problem.c and grown.a[0] is problem.a[0]
+    assert problem.b == (2.0,)
+    for a, b, match in ((np.triu(np.ones((3, 3))), 0.0, "not Hermitian"),
+                        (np.eye(2), 0.0, "does not match"),
+                        (np.eye(3), np.inf, "must be finite")):
+        with pytest.raises(sdp.SdpError, match=match):
+            problem.with_constraint(a, b)
 
 
 # -- solver ---------------------------------------------------------------
@@ -213,20 +225,34 @@ def test_step_length_reaches_psd_boundary(rng):
     linv = np.linalg.inv(np.linalg.cholesky(mats))
     for _ in range(5):
         dmats = np.stack([_random_hermitian(n, rng) for _ in range(2)])
-        for mat, dmat, alpha in zip(mats, dmats, _max_steps(linv, dmats)):
+        steps = _max_steps(linv, linv.conj().swapaxes(-1, -2), dmats)
+        for mat, dmat, alpha in zip(mats, dmats, steps):
             assert np.isfinite(alpha) and alpha > 0
             assert np.linalg.eigvalsh(mat + 0.999 * alpha * dmat)[0] >= 0
             assert np.linalg.eigvalsh(mat + 1.001 * alpha * dmat)[0] < 0
     # a PSD direction never leaves the cone: primal and dual unbounded
     dmats = np.stack([_random_psd(n, rng), np.zeros((n, n))])
-    assert _max_steps(linv, dmats) == [np.inf, np.inf]
+    assert _max_steps(linv, linv.conj().swapaxes(-1, -2), dmats) == [
+        np.inf, np.inf]
+
+
+def test_eigvalsh_gufunc_matches_numpy(rng):
+    """The step lengths' eigvalsh is np.linalg.eigvalsh's gufunc: the same
+    eigenvalues bit for bit, and LinAlgError where LAPACK fails."""
+    stack = np.stack([_random_hermitian(6, rng) for _ in range(2)])
+    np.testing.assert_array_equal(sdp._eigvalsh(stack),
+                                  np.linalg.eigvalsh(stack))
+    for eig in (np.linalg.eigvalsh, sdp._eigvalsh):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            eig(np.full((2, 3, 3), np.nan, dtype=complex))
 
 
 def test_schur_complement_blocks_match_dense_reference(rng):
     """The block-built Schur complement equals Re tr(A_i^H X A_j Zinv)
     entry by entry over the dense rows (a lone off-diagonal pair, a scaled
     diagonal entry, the identity and a dense Hermitian matrix), followed
-    with ``unit_diagonal`` by the rows e_p e_p^T; also with no dense rows."""
+    with ``unit_diagonal`` by the rows e_p e_p^T; also with no dense rows,
+    and again after X, Zinv and the products are rewritten in place."""
     n = 6
     eye = np.eye(n)
     off = np.zeros((n, n), dtype=complex)
@@ -234,18 +260,26 @@ def test_schur_complement_blocks_match_dense_reference(rng):
     dense = np.stack([off, 3.0 * np.outer(eye[2], eye[2]), eye,
                       _random_hermitian(n, rng)]).astype(complex)
     unit = np.stack([np.outer(e, e) for e in eye]).astype(complex)
-    x = _random_psd(n, rng) + 0.1 * eye
-    zinv = np.linalg.inv(_random_psd(n, rng) + 0.1 * eye)
-    zinv = 0.5 * (zinv + zinv.conj().T)
+    x = np.empty((n, n), dtype=complex)
+    zinv = np.empty((n, n), dtype=complex)
     for amats, unit_diagonal in ((dense, False), (dense, True),
                                  (dense[:0], True)):
         rows = np.concatenate([amats, unit]) if unit_diagonal else amats
-        reference = np.array([[np.trace(ai.conj().T @ x @ aj @ zinv).real
-                               for aj in rows] for ai in rows])
         aconj_flat = amats.conj().reshape(len(amats), n * n)
-        got = _schur_complement(x, zinv, amats, aconj_flat, unit_diagonal)
-        assert got.shape == reference.shape
-        assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+        t = np.empty(amats.shape, dtype=complex)
+        out = np.empty((len(rows), len(rows)))
+        schur = _schur_complement(x, zinv, t, aconj_flat, unit_diagonal, out)
+        for _ in range(2):
+            x[...] = _random_psd(n, rng) + 0.1 * eye
+            zinv[...] = np.linalg.inv(_random_psd(n, rng) + 0.1 * eye)
+            zinv[...] = 0.5 * (zinv + zinv.conj().T)
+            t[...] = x @ amats @ zinv
+            reference = np.array([[np.trace(ai.conj().T @ x @ aj @ zinv).real
+                                   for aj in rows] for ai in rows])
+            got = schur()
+            assert got is out
+            assert np.abs(got - reference).max() <= (
+                1e-12 * np.abs(reference).max())
 
 
 def test_unit_scale_edge_cases(rng):
@@ -338,3 +372,57 @@ def test_lapack_loaded_by_first_solve():
                          capture_output=True, text=True, timeout=120,
                          check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+# -- bit pin --------------------------------------------------------------
+SDP_PIN = json.loads(
+    (Path(__file__).parent / "data" / "sdp_pin.json").read_text())
+PIN_TRIALS = {f"iid-ns4-seed{seed}": ({}, seed) for seed in range(5)}
+PIN_TRIALS["iid-ns4-n32-seed0"] = ({"n_ris": 32}, 0)
+
+
+def _pinned_solves(case, monkeypatch):
+    """Every sdp.solve of the proposed method's trial ``case`` (iid, n_s=4,
+    -30 deg), in order: the problem key d<dim>m<#constraints>, status,
+    iteration count, float.hex of the objective, residuals and gap, and
+    the sha256 of X's little-endian complex128 bytes."""
+    overrides, seed = PIN_TRIALS[case]
+    sc = apply_overrides(paper_default(), {"channel": {"iid_mode": True},
+                                           "n_s": 4, **overrides})
+    records = []
+    real = sdp.solve
+
+    def spy(problem):
+        sol = real(problem)
+        records.append(
+            [f"d{problem.dim}m{len(problem.constraints)}", sol.status,
+             sol.iterations] + [v.hex() for v in (
+                 sol.objective, sol.primal_residual, sol.dual_residual,
+                 sol.gap)]
+            + [hashlib.sha256(sol.x.astype("<c16").tobytes()).hexdigest()])
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    run_trial(sc, "proposed", seed, fixed_tilt_deg=-30.0)
+    return records
+
+
+def test_sdp_pin_covers_every_exit_and_shape():
+    """The pinned trials hold the beamformer relaxation (d4m2), the phase
+    relaxation at N = 20 and 32 with its SROCR rounds (d21m22, d21m23,
+    d33m34), and the IPM's non-optimal exits: seed 2's SROCR rounds end
+    ``numerical-failure`` and ``max-iterations`` after 69-100 iterations."""
+    solves = [rec for recs in SDP_PIN.values() for rec in recs]
+    assert {rec[0] for rec in solves} == {"d4m2", "d21m22", "d21m23",
+                                          "d33m34"}
+    assert {rec[1] for rec in solves} == {"optimal", "numerical-failure",
+                                          "max-iterations"}
+    assert max(rec[2] for rec in solves) == 100
+
+
+@pytest.mark.parametrize("case", sorted(PIN_TRIALS))
+def test_sdp_solve_pinned_bitwise(case, monkeypatch):
+    """The interior-point iterates are pinned to the last bit: a faster
+    kernel must give every solve of these trials the same status,
+    iteration count, objective, residuals, gap and X bytes."""
+    assert _pinned_solves(case, monkeypatch) == SDP_PIN[case]
