@@ -20,8 +20,8 @@ unit-diagonal row already has it), allocates every array an iteration
 rewrites, the iterate included, and takes the views into them once.  An
 iteration then pays for its LAPACK and BLAS calls (two zpotrf and two
 ztrtri, run in place, one dgetrf, two dgetrs, two eigvalsh on a stack of
-two matrices and about twenty complex n x n products) and about 150 small
-numpy calls that allocate almost nothing.  With n = 21 and one dense row
+two matrices and about twenty complex n x n products) and over a hundred
+small numpy calls that allocate almost nothing.  With n = 21 and one dense row
 that is about 330 us an iteration on a 2-vCPU Xeon (numpy 2.4, OpenBLAS
 0.3.31), two thirds of it in the LAPACK and BLAS calls and a third in
 eigvalsh alone.
