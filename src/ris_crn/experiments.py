@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import multiprocessing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -207,7 +206,7 @@ def _run_tasks(tasks: list, workers: int) -> list:
     ``min(workers, len(tasks)) - 1`` are forked children, which start with
     the task list and the caller's imports in memory (a spawned one would
     import numpy again); a child that solves an SDP before the caller ever
-    has imports the LAPACK bindings itself.  All workers claim task indices
+    has loads the LAPACK bindings itself.  All workers claim task indices
     from one shared counter.  A task's exception, the caller's own or else
     the first child's in start order, is raised once every child has
     exited; a child that exits without sending its results is a
@@ -216,6 +215,7 @@ def _run_tasks(tasks: list, workers: int) -> list:
     n_children = min(workers, len(tasks)) - 1
     if n_children == 0:
         return [_trial_task(task) for task in tasks]
+    import multiprocessing      # only a forking sweep pays for it
     fork = multiprocessing.get_context("fork")
     counter = fork.Value("q", 0)
     pipes, children = [], []

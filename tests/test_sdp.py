@@ -347,31 +347,45 @@ def test_eigpair_canonical_phase(rng):
 
 
 LAPACK_PROBE = """
+import json
 import sys
-from ris_crn import run_algorithm1
+MODULES = ("scipy", "multiprocessing", "scipy.linalg", "scipy.linalg._flapack")
+def loaded():
+    return [name for name in MODULES if name in sys.modules]
+import ris_crn
+stages = {"import": loaded()}
+from ris_crn import run_algorithm1, sdp
 from ris_crn.channels import generate_channels
 from ris_crn.scenario import apply_overrides, paper_default
 sc = paper_default()
 for seed in range(20):
     run_algorithm1(generate_channels(sc, seed=seed), sc, seed=seed)
-print("scipy.linalg" in sys.modules)
+stages["pathloss"] = loaded()
 iid = apply_overrides(sc, {"channel": {"iid_mode": True}, "n_s": 4})
 run_algorithm1(generate_channels(iid, seed=2), iid, seed=2,
                fixed_tilt_deg=-30.0)
-print("scipy.linalg" in sys.modules)
+stages["iid"] = loaded()
+import scipy.linalg.lapack as lapack
+stages["same"] = [getattr(lapack, name) is fn for name, fn in
+                  zip(("dgetrf", "dgetrs", "zpotrf", "ztrtri"), sdp._lapack())]
+print(json.dumps(stages))
 """
 
 
 def test_lapack_loaded_by_first_solve():
-    """A process loads scipy.linalg when it solves its first SDP: not on
-    import, nor in 20 path-loss solves (all closed form), but in an iid
-    -30 deg solve, whose C1-binding steps solve SDPs."""
+    """``import ris_crn`` loads neither scipy nor multiprocessing, and 20
+    path-loss solves (all closed form) load no LAPACK.  An iid -30 deg
+    solve, whose C1-binding steps solve SDPs, loads scipy's LAPACK
+    extension module and nothing else of scipy; a later import of
+    scipy.linalg.lapack gives the very functions sdp.solve called."""
     src = str(Path(ris_crn.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", LAPACK_PROBE],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert json.loads(out.stdout) == {
+        "import": [], "pathloss": [], "iid": ["scipy.linalg._flapack"],
+        "same": [True] * 4}
 
 
 # -- bit pin --------------------------------------------------------------
