@@ -13,7 +13,7 @@ Schur complement block of two such rows is Re(X_pq Zinv_qp), so the N+1
 rows cost O(n^2) per iteration in all (Helmberg, Rendl, Vanderbei &
 Wolkowicz, SIAM J. Optim. 1996).  Only the dense rows go through
 X A_j Zinv products.  The first ``solve`` of a process loads scipy's LAPACK
-extension module by itself (``_lapack``), so no process loads scipy.linalg.
+extension module alone (``_lapack``), never the scipy.linalg package.
 
 Set-up runs once per solve: it scales every dense term to unit size (a
 unit-diagonal row already has it), allocates every array an iteration
