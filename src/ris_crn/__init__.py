@@ -2,7 +2,8 @@
 
 Joint optimization of the secondary base station's transmit beamformer,
 vertical antenna tilt and reconfigurable-intelligent-surface phase shifts
-under an interference-power cap at the primary user, via alternating
+under an interference-power cap at the primary user, by alternating
+optimization whose steps are mostly closed forms; the rest solve a
 semidefinite relaxation with sequential rank-one recovery.
 """
 

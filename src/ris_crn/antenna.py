@@ -9,23 +9,20 @@ at the call sites that compose effective channels.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .scenario import PatternParams
 
 
-def vertical_attenuation_db(theta_tilt_deg, theta_x_deg,
-                            params: PatternParams):
+def vertical_attenuation_db(theta_tilt_deg: float, theta_x_deg: float,
+                            params: PatternParams) -> float:
     """Vertical pattern attenuation in dB (<= 0)."""
-    quad = 12.0 * ((np.asarray(theta_x_deg, dtype=float) - theta_tilt_deg)
-                   / params.theta_3db_deg) ** 2
+    quad = 12.0 * ((theta_x_deg - theta_tilt_deg) / params.theta_3db_deg) ** 2
     if params.sla_v_db is not None:
-        quad = np.minimum(quad, params.sla_v_db)
-    return -quad if np.ndim(quad) else -float(quad)
+        quad = min(quad, float(params.sla_v_db))
+    return -quad
 
 
-def vertical_gain_linear(theta_tilt_deg, theta_x_deg, params: PatternParams):
+def vertical_gain_linear(theta_tilt_deg: float, theta_x_deg: float,
+                         params: PatternParams) -> float:
     """Linear power gain in (0, 1]; equals 1 exactly on boresight."""
-    att = vertical_attenuation_db(theta_tilt_deg, theta_x_deg, params)
-    out = 10.0 ** (np.asarray(att, dtype=float) / 10.0)
-    return out if np.ndim(out) else float(out)
+    return 10.0 ** (vertical_attenuation_db(theta_tilt_deg, theta_x_deg,
+                                            params) / 10.0)

@@ -117,7 +117,6 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
     rows: tuple
 
     def to_csv(self) -> str:
@@ -298,7 +297,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, out_path=None,
                  spec.kind, grid_value, method, rows[-1].mean_se_bps_hz,
                  rows[-1].violations)
 
-    result = SweepResult(spec=spec, rows=tuple(rows))
+    result = SweepResult(rows=tuple(rows))
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write(result.to_csv())

@@ -38,14 +38,13 @@ solve of six trials to the last bit.
 
 from __future__ import annotations
 
-import copy
 import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -85,16 +84,9 @@ class SdpProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "c", check_hermitian(self.c, "objective"))
-        a, b = self._checked_rows(self.a, self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def _checked_rows(self, a, b):
-        """The dense rows (a, b) as Hermitian matrices of the objective's
-        shape and finite floats, or SdpError."""
         n = self.dim
-        a = tuple(check_hermitian(mat, "constraint matrix") for mat in a)
-        b = tuple(float(v) for v in b)
+        a = tuple(check_hermitian(mat, "constraint matrix") for mat in self.a)
+        b = tuple(float(v) for v in self.b)
         if len(a) != len(b):
             raise SdpError(f"{len(a)} constraint matrices but {len(b)} bounds")
         for mat in a:
@@ -103,7 +95,8 @@ class SdpProblem:
                                f"not match objective dimension {n}")
         if not all(map(math.isfinite, b)):
             raise SdpError("constraint bound must be finite")
-        return a, b
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def dim(self) -> int:
@@ -120,14 +113,8 @@ class SdpProblem:
         return rows
 
     def with_constraint(self, a, b) -> "SdpProblem":
-        """This problem with the dense row (a, b) appended.  Only the new
-        row is checked: the others passed the checks already, and checking
-        a Hermitian matrix again returns it unchanged."""
-        (a,), (b,) = self._checked_rows((a,), (b,))
-        grown = copy.copy(self)
-        object.__setattr__(grown, "a", self.a + (a,))
-        object.__setattr__(grown, "b", self.b + (b,))
-        return grown
+        """This problem with the dense row (a, b) appended."""
+        return replace(self, a=self.a + (a,), b=self.b + (b,))
 
     def constraint_violation(self, x: np.ndarray) -> float:
         """Worst relative violation of the constraints at X = x."""

@@ -150,39 +150,34 @@ def randomize_phases(problem: SdpProblem, relaxed_x: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     """Gaussian randomization fallback for the unit-modulus problem.
 
-    Draws candidates from CN(0, X), projects every entry to unit modulus,
-    and keeps the best feasible candidate under the problem objective.  If
-    no draw is feasible, returns the least-violating candidate instead:
+    The candidates are the principal eigenvector of X and N_RANDOMIZATIONS
+    draws from CN(0, X), each projected entrywise to unit modulus, so the
+    diagonal rows hold; all are scored at once by u^H C u and the dense
+    rows' u^H A_i u.  A candidate with an entry below 1e-15 is skipped.
+    The best objective among candidates whose worst relative row violation
+    is at most 1e-8 wins, else the least-violating one, the first on ties:
     phases are always unit-modulus, and the caller repairs any residual
     interference overshoot by scaling the beamformer down.
     """
     n = problem.dim
-    x_psd = 0.5 * (relaxed_x + relaxed_x.conj().T)
-    vals, vecs = np.linalg.eigh(x_psd)
+    vals, vecs = np.linalg.eigh(0.5 * (relaxed_x + relaxed_x.conj().T))
     root = vecs * np.sqrt(np.maximum(vals, 0.0))
-    best_val, best_vec = -np.inf, None
-    least_viol, least_vec = np.inf, None
-    _, q = sdp.principal_eigpair(x_psd)
-    candidates = [q]
     g = (rng.standard_normal((N_RANDOMIZATIONS, n))
          + 1j * rng.standard_normal((N_RANDOMIZATIONS, n))) / np.sqrt(2.0)
-    candidates.extend(g @ root.T)       # each row root @ g_i ~ CN(0, X)
-    for cand in candidates:
-        mod = np.abs(cand)
-        if np.any(mod < 1e-15):
-            continue
-        unit = cand / mod
-        xx = np.outer(unit, unit.conj())
-        viol = problem.constraint_violation(xx)
-        if viol > 1e-8:
-            if viol < least_viol:
-                least_viol, least_vec = viol, unit
-            continue
-        val = float(np.tensordot(problem.c.conj(), xx).real)
-        if val > best_val:
-            best_val, best_vec = val, unit
-    if best_vec is None:
-        best_vec = least_vec
-    if best_vec is None:
+    cands = np.vstack([vecs[:, -1], g @ root.T])  # root @ g_i ~ CN(0, X)
+    mod = np.abs(cands)
+    usable = (mod >= 1e-15).all(axis=1)
+    if not usable.any():
         raise SrocrError("randomization produced no usable candidate")
-    return _anchor_last(best_vec)
+    units = cands[usable] / mod[usable]
+
+    def forms(mat):     # u^H mat u for every candidate u
+        return (units.conj() * (units @ mat.T)).sum(axis=1).real
+
+    viol = np.zeros(len(units))
+    for a, b in zip(problem.a, problem.b):
+        np.maximum(viol, (forms(a) - b) / (1.0 + abs(b)), out=viol)
+    feasible = np.flatnonzero(viol <= 1e-8)
+    best = (feasible[np.argmax(forms(problem.c)[feasible])] if feasible.size
+            else np.argmin(viol))
+    return _anchor_last(units[best])

@@ -89,8 +89,10 @@ def test_unit_diagonal_violation_and_with_constraint():
     grown = problem.with_constraint(-np.eye(3), -1.0)
     assert grown.unit_diagonal and grown.b == (2.0, -1.0)
     assert len(grown.constraints) == 5
-    # the checked rows are kept as they are; only the new one is checked
-    assert grown.c is problem.c and grown.a[0] is problem.a[0]
+    # every row is checked again; a checked row comes back unchanged
+    np.testing.assert_array_equal(grown.c, problem.c)
+    np.testing.assert_array_equal(grown.a[0], problem.a[0])
+    np.testing.assert_array_equal(grown.a[1], -np.eye(3))
     assert problem.b == (2.0,)
     for a, b, match in ((np.triu(np.ones((3, 3))), 0.0, "not Hermitian"),
                         (np.eye(2), 0.0, "does not match"),

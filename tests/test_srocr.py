@@ -8,8 +8,8 @@ from ris_crn.metrics import DesignState
 from ris_crn.optimizer import build_phase_problem, build_ws_problem
 from ris_crn.sdp import SdpProblem, principal_eigpair, solve
 from ris_crn.srocr import (N_RANDOMIZATIONS, RankOneResult, SrocrError,
-                           extract_vector, _ratio_eigpair, randomize_phases,
-                           refine)
+                           _anchor_last, extract_vector, _ratio_eigpair,
+                           randomize_phases, refine)
 
 
 def test_ratio_rank_one(rng):
@@ -210,3 +210,93 @@ def test_randomization_draws_from_relaxed_covariance():
     assert problem.constraint_violation(np.outer(x, x.conj())) <= 1e-8
     theta = np.angle(x[0] * np.conj(x[1]))
     assert phi + 0.1 <= theta <= phi + 0.5
+
+
+def _reference_randomize_phases(problem, relaxed_x, rng):
+    """randomize_phases as a loop over the candidates, each scored through
+    its outer product u u^H with SdpProblem.constraint_violation and
+    tr(C^H u u^H)."""
+    n = problem.dim
+    x_psd = 0.5 * (relaxed_x + relaxed_x.conj().T)
+    vals, vecs = np.linalg.eigh(x_psd)
+    root = vecs * np.sqrt(np.maximum(vals, 0.0))
+    best_val, best_vec = -np.inf, None
+    least_viol, least_vec = np.inf, None
+    _, q = principal_eigpair(x_psd)
+    candidates = [q]
+    g = (rng.standard_normal((N_RANDOMIZATIONS, n))
+         + 1j * rng.standard_normal((N_RANDOMIZATIONS, n))) / np.sqrt(2.0)
+    candidates.extend(g @ root.T)
+    for cand in candidates:
+        mod = np.abs(cand)
+        if np.any(mod < 1e-15):
+            continue
+        unit = cand / mod
+        xx = np.outer(unit, unit.conj())
+        viol = problem.constraint_violation(xx)
+        if viol > 1e-8:
+            if viol < least_viol:
+                least_viol, least_vec = viol, unit
+            continue
+        val = float(np.tensordot(problem.c.conj(), xx).real)
+        if val > best_val:
+            best_val, best_vec = val, unit
+    if best_vec is None:
+        best_vec = least_vec
+    return _anchor_last(best_vec)
+
+
+_BAND_X = np.array([[1.0, 0.9 * np.exp(1.5j)], [0.9 * np.exp(-1.5j), 1.0]])
+
+
+def _band_problem():
+    """Objective _BAND_X and the row x^H band x >= 2 cos(0.2), where
+    x^H band x = 2 cos(theta - 1.8) for the relative phase theta."""
+    band = np.array([[0.0, np.exp(1.8j)], [np.exp(-1.8j), 0.0]])
+    return SdpProblem(_BAND_X, (-band,), (-2.0 * np.cos(0.2),),
+                      unit_diagonal=True)
+
+
+def _picks(problem, x_relaxed, draws):
+    """(randomize_phases, the loop) on the same fixed draws."""
+    return (randomize_phases(problem, x_relaxed, _FixedDraws(*draws)),
+            _reference_randomize_phases(problem, x_relaxed,
+                                        _FixedDraws(*draws)))
+
+
+def test_randomization_matches_loop_on_feasible_draws():
+    problem = _band_problem()
+    draws = np.random.default_rng(0).standard_normal((2, N_RANDOMIZATIONS, 2))
+    x, ref = _picks(problem, _BAND_X, draws)
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+    assert problem.constraint_violation(np.outer(x, x.conj())) <= 1e-8
+
+
+def test_randomization_matches_loop_when_no_draw_is_feasible():
+    """|h^H u| >= 1 - 0.5 - 0.2 for every unit-modulus u, so the cap
+    |h^H u|^2 <= 1e-3 holds for no draw and the least-violating one wins."""
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    x_relaxed = m @ m.conj().T
+    h = np.array([1.0, 0.5j, -0.2])
+    problem = SdpProblem(x_relaxed, (np.outer(h, h.conj()),), (1e-3,),
+                         unit_diagonal=True)
+    draws = rng.standard_normal((2, N_RANDOMIZATIONS, 3))
+    x, ref = _picks(problem, x_relaxed, draws)
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+    assert problem.constraint_violation(np.outer(x, x.conj())) > 1e-8
+
+
+def test_randomization_matches_loop_past_zero_entries():
+    """With X = I every candidate is its draw, and the principal eigenvector
+    e_2 and every draw but the last 20 have a zero first entry: those are
+    skipped, so the pick is among the last 20 draws."""
+    problem = _band_problem()
+    draws = np.random.default_rng(2).standard_normal((2, N_RANDOMIZATIONS, 2))
+    draws[:, :-20, 0] = 0.0
+    x, ref = _picks(problem, np.eye(2, dtype=complex), draws)
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+    kept = (draws[0, -20:] + 1j * draws[1, -20:]) / np.sqrt(2.0)
+    anchored = kept * np.exp(-1j * np.angle(kept[:, 1:]))
+    unit = anchored / np.abs(anchored)
+    assert np.abs(unit - x).max(axis=1).min() <= 1e-12
