@@ -4,8 +4,10 @@ Each link combines a distance power-law path-loss amplitude with Rician
 small-scale fading.  The line-of-sight component is built from
 half-wavelength uniform-linear-array steering vectors at the geometric
 elevation angle of the link, which keeps every LOS entry unit-modulus.
-A link's path-loss amplitude and LOS term sqrt(K/(K+1)) LOS depend only on
-its geometry, so ``_link_terms`` builds them once and draws share them.
+
+``_draw_plan`` builds all of a draw but the fading once per set of sizes,
+positions and ``ChannelParams``; a draw fills one buffer from the links'
+seed streams, combines all seven links at once and returns views of it.
 
 ``ChannelParams.iid_mode`` switches to the statistical model used by the
 tilt-selection analysis: every entry iid CSCG(0, channel_sigma2) with no
@@ -15,6 +17,7 @@ path loss and no LOS structure.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,15 @@ class ChannelError(ValueError):
     pass
 
 
+def _links(n: int, n_s: int, n_p: int) -> tuple:
+    """(field, shape, source, destination) of each link, in ChannelSet's
+    field order."""
+    return (("G", (n, n_s), "sbs", "ris"), ("u", (n,), "ris", "su"),
+            ("v", (n,), "ris", "pu"), ("h_s", (n_s,), "sbs", "su"),
+            ("h_p", (n_p,), "pbs", "pu"), ("f_p", (n_s,), "sbs", "pu"),
+            ("f_s", (n_p,), "pbs", "su"))
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     G: np.ndarray    # (N, N_s)  SBS -> RIS
@@ -43,10 +55,8 @@ class ChannelSet:
     f_s: np.ndarray  # (N_p,)    PBS -> SU
 
     def validate(self, scenario: Scenario):
-        n, n_s, n_p = scenario.n_ris, scenario.n_s, scenario.n_p
-        for name, shape in (("G", (n, n_s)), ("u", (n,)), ("v", (n,)),
-                            ("h_s", (n_s,)), ("h_p", (n_p,)),
-                            ("f_p", (n_s,)), ("f_s", (n_p,))):
+        for name, shape, _, _ in _links(scenario.n_ris, scenario.n_s,
+                                        scenario.n_p):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ChannelError(f"channel {name} has shape {arr.shape}, "
@@ -85,13 +95,32 @@ def rician_sample(rows: int, cols: int, k: float, los: np.ndarray,
 
 
 @functools.lru_cache(maxsize=128)   # keyed by value: dataclasses are frozen
-def _link_terms(rows: int, cols: int, src, dst, params: ChannelParams):
-    """(path-loss amplitude, read-only sqrt(K/(K+1)) LOS) of a link."""
+def _draw_plan(n: int, n_s: int, n_p: int, params: ChannelParams,
+               **pos) -> tuple:
+    """All of a draw but the fading: each link's (stream, slice, shape) in
+    one buffer, in field order; the scale sqrt(1/(K+1)), or
+    sqrt(channel_sigma2) in iid mode; and read-only arrays: the (2, size)
+    Gaussian indices of the real and imaginary parts and, but in iid mode
+    (empty there), each entry's path loss and sqrt(K/(K+1)) LOS."""
+    links, parts, amplitude, los_term, start = [], [], [], [], 0
     k = params.rician_k
-    los_term = np.sqrt(k / (k + 1.0)) * los_matrix(rows, cols,
-                                                   elevation_deg(src, dst))
-    los_term.flags.writeable = False
-    return path_loss_amplitude(src.distance_to(dst), params), los_term
+    for name, shape, src, dst in _links(n, n_s, n_p):
+        size = math.prod(shape)
+        links.append((name, slice(start, start + size), shape))
+        # a link's stream gives its real parts, then its imaginary parts
+        parts.append(np.arange(2 * start, 2 * (start + size)).reshape(2, size))
+        start += size
+        if not params.iid_mode:
+            a, b = pos[src], pos[dst]
+            amplitude += [path_loss_amplitude(a.distance_to(b), params)] * size
+            los_term += list(np.sqrt(k / (k + 1.0)) * los_matrix(
+                shape[0], math.prod(shape[1:]), elevation_deg(a, b)).ravel())
+    arrays = (np.concatenate(parts, axis=1), np.array(amplitude),
+              np.array(los_term))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (tuple(links), np.sqrt(params.channel_sigma2 if params.iid_mode
+                                  else 1.0 / (k + 1.0)), *arrays)
 
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
@@ -100,29 +129,23 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
 
 
 def generate_channels(scenario: Scenario, seed: int = 0) -> ChannelSet:
-    """Draw all seven channels; deterministic in (scenario, seed)."""
-    cp = scenario.channel
-    n, n_s, n_p = scenario.n_ris, scenario.n_s, scenario.n_p
-    pos = scenario.positions
-
-    def draw(link, rows, cols, src, dst):
-        rng = stream_rng(seed, link)
-        w = (rng.standard_normal((rows, cols))
-             + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-        if cp.iid_mode:
-            return np.sqrt(cp.channel_sigma2) * w
-        pl, los_term = _link_terms(rows, cols, pos[src], pos[dst], cp)
-        return pl * (los_term + np.sqrt(1.0 / (cp.rician_k + 1.0)) * w)
-
-    return ChannelSet(
-        G=draw("G", n, n_s, "sbs", "ris"),
-        u=draw("u", n, 1, "ris", "su")[:, 0],
-        v=draw("v", n, 1, "ris", "pu")[:, 0],
-        h_s=draw("h_s", n_s, 1, "sbs", "su")[:, 0],
-        h_p=draw("h_p", n_p, 1, "pbs", "pu")[:, 0],
-        f_p=draw("f_p", n_s, 1, "sbs", "pu")[:, 0],
-        f_s=draw("f_s", n_p, 1, "pbs", "su")[:, 0],
-    )
+    """Draw all seven channels; deterministic in (scenario, seed).  They are
+    views of one buffer that belongs to this draw alone."""
+    links, scale, parts, amplitude, los_term = _draw_plan(
+        scenario.n_ris, scenario.n_s, scenario.n_p, scenario.channel,
+        **scenario.positions)
+    gauss = np.empty(2 * parts.shape[1])
+    for stream, part, _ in links:
+        stream_rng(seed, stream).standard_normal(
+            out=gauss[2 * part.start:2 * part.stop])
+    re, im = gauss[parts]
+    # rician_sample's operations in its order, on all seven links at once
+    w = (re + 1j * im) / np.sqrt(2.0)
+    w *= scale
+    if not scenario.channel.iid_mode:
+        w += los_term
+        w *= amplitude
+    return ChannelSet(*(w[part].reshape(shape) for _, part, shape in links))
 
 
 def pbs_beamformer(h_p: np.ndarray, pp_dbw: float) -> np.ndarray:

@@ -27,6 +27,7 @@ that would repeat it, and not run again.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,14 +91,21 @@ def expected_cascade_power(w_s: np.ndarray, sigma2: float, n_ris: int) -> float:
 def select_tilt(scenario: Scenario) -> TiltDecision:
     """Point the tilt at the RIS or at the SU, whichever path carries more
     expected power under the iid model (sigma^4 N against sigma^2)."""
+    branch, direct, cascade = _tilt_branch(scenario.channel.channel_sigma2,
+                                           scenario.n_ris)
+    return TiltDecision(scenario.theta_r_deg if branch == "ris"
+                        else scenario.theta_d_deg, branch, direct, cascade)
+
+
+@functools.lru_cache(maxsize=128)
+def _tilt_branch(sigma2: float, n_ris: int) -> tuple[str, float, float]:
+    """(branch, direct, cascade) of the tilt rule; no angle is in the key,
+    where -0.0 and 0.0 (or -30 and -30.0) would be one."""
     w_ref = np.ones(1)
-    direct = expected_direct_power(w_ref, scenario.channel.channel_sigma2)
-    cascade = expected_cascade_power(w_ref, scenario.channel.channel_sigma2,
-                                     scenario.n_ris)
+    direct = expected_direct_power(w_ref, sigma2)
+    cascade = expected_cascade_power(w_ref, sigma2, n_ris)
     # ties point at the RIS, matching the large-N regime
-    if cascade >= direct:
-        return TiltDecision(scenario.theta_r_deg, "ris", direct, cascade)
-    return TiltDecision(scenario.theta_d_deg, "direct", direct, cascade)
+    return ("ris" if cascade >= direct else "direct"), direct, cascade
 
 
 # -- subproblem builders --------------------------------------------------

@@ -116,17 +116,6 @@ class SdpProblem:
         """This problem with the dense row (a, b) appended."""
         return replace(self, a=self.a + (a,), b=self.b + (b,))
 
-    def constraint_violation(self, x: np.ndarray) -> float:
-        """Worst relative violation of the constraints at X = x."""
-        worst = 0.0
-        for a, b in zip(self.a, self.b):
-            val = float(np.tensordot(a.conj(), x).real)
-            worst = max(worst, (val - b) / (1.0 + abs(b)))
-        if self.unit_diagonal:
-            gaps = np.abs(x.diagonal().real - 1.0)     # |X_pp - 1| / (1 + 1)
-            worst = max(worst, float(gaps.max()) / 2.0)
-        return worst
-
 
 @dataclass
 class SdpSolution:

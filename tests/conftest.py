@@ -18,6 +18,20 @@ from ris_crn.channels import generate_channels  # noqa: E402
 from ris_crn.scenario import apply_overrides, paper_default  # noqa: E402
 
 
+def constraint_violation(problem, x: np.ndarray) -> float:
+    """Worst relative violation of an SdpProblem's constraints at X = x:
+    (tr(A_i^H x) - b_i) / (1 + |b_i|) for each dense row and, with the unit
+    diagonal, |x_pp - 1| / 2."""
+    worst = 0.0
+    for a, b in zip(problem.a, problem.b):
+        val = float(np.tensordot(a.conj(), x).real)
+        worst = max(worst, (val - b) / (1.0 + abs(b)))
+    if problem.unit_diagonal:
+        gaps = np.abs(x.diagonal().real - 1.0)
+        worst = max(worst, float(gaps.max()) / 2.0)
+    return worst
+
+
 @pytest.fixture(scope="session")
 def scenario():
     return paper_default()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -131,43 +132,84 @@ def test_draws_pinned(case, seed, scenario):
             case, seed]
 
 
+# (field, rows, cols, source, destination) of each link
+LINK_ENDS = (("G", "n_ris", "n_s", "sbs", "ris"),
+             ("u", "n_ris", 1, "ris", "su"), ("v", "n_ris", 1, "ris", "pu"),
+             ("h_s", "n_s", 1, "sbs", "su"), ("h_p", "n_p", 1, "pbs", "pu"),
+             ("f_p", "n_s", 1, "sbs", "pu"), ("f_s", "n_p", 1, "pbs", "su"))
+
+
 def test_draw_matches_rician_reference(scenario):
-    """Each path-loss link is pl * rician_sample(...) on the link's LOS
-    matrix and seed stream, bit for bit, with the link terms cached."""
-    pos, cp = scenario.positions, scenario.channel
-    n, n_s = scenario.n_ris, scenario.n_s
-    for seed in (0, 3):
-        ch = generate_channels(scenario, seed=seed)
-        for name, rows, cols, src, dst in (("G", n, n_s, "sbs", "ris"),
-                                           ("u", n, 1, "ris", "su"),
-                                           ("h_s", n_s, 1, "sbs", "su")):
+    """Each of the seven links is pl * rician_sample(...) on the link's LOS
+    matrix and seed stream, bit for bit, with the draw plan cached; with
+    N = 0 the RIS links are empty."""
+    for case, seed in itertools.product(("paper_default", "no-ris"), (0, 3)):
+        sc = apply_overrides(scenario, DRAW_CASES[case])
+        pos, cp = sc.positions, sc.channel
+        ch = generate_channels(sc, seed=seed)
+        for name, rows, cols, src, dst in LINK_ENDS:
+            rows = getattr(sc, rows)
+            cols = cols if cols == 1 else getattr(sc, cols)
             a, b = pos[src], pos[dst]
             los = los_matrix(rows, cols, elevation_deg(a, b))
             ref = path_loss_amplitude(a.distance_to(b), cp) * rician_sample(
                 rows, cols, cp.rician_k, los, stream_rng(seed, name))
-            assert getattr(ch, name).tobytes() == ref.reshape(
-                getattr(ch, name).shape).tobytes()
+            got = getattr(ch, name)
+            assert got.shape == ((rows, cols) if name == "G" else (rows,))
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_writing_a_draw_leaves_the_next_unchanged(scenario):
-    first = generate_channels(scenario, seed=0)
+    """The seven fields of a draw share one buffer but no entry: writing
+    one leaves the other six as drawn, and no write reaches a later draw."""
+    pinned = PINNED_DRAWS["paper_default", 0].split()
     for name in LINKS:
-        getattr(first, name)[...] = 1.0 + 1.0j
+        draw = generate_channels(scenario, seed=0)
+        getattr(draw, name)[...] = 1.0 + 1.0j
+        assert ([d == p for d, p in zip(_digests(draw).split(), pinned)]
+                == [other != name for other in LINKS])
+    for name in LINKS:
+        getattr(draw, name)[...] = 1.0 + 1.0j
     assert (_digests(generate_channels(scenario, seed=0))
             == PINNED_DRAWS["paper_default", 0])
 
 
 def test_cached_link_terms_read_only(scenario):
+    """The draw plan is cached by value, and its arrays (the Gaussian
+    indices, per-entry path-loss amplitudes and LOS terms) are read-only."""
     generate_channels(scenario, seed=0)
     pos = scenario.positions
-    pl, los_term = channels_module._link_terms(
-        scenario.n_ris, scenario.n_s, pos["sbs"], pos["ris"], scenario.channel)
-    assert channels_module._link_terms.cache_info().hits > 0
-    assert not los_term.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        los_term[0, 0] = 0.0
-    assert pl == path_loss_amplitude(pos["sbs"].distance_to(pos["ris"]),
-                                     scenario.channel)
+    hits = channels_module._draw_plan.cache_info().hits
+    generate_channels(scenario, seed=1)
+    assert channels_module._draw_plan.cache_info().hits == hits + 1
+    _, _, *arrays = channels_module._draw_plan(
+        scenario.n_ris, scenario.n_s, scenario.n_p, scenario.channel, **pos)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[..., 0] = 0
+    amplitude = arrays[1][:scenario.n_ris * scenario.n_s]     # G's entries
+    assert (amplitude == path_loss_amplitude(
+        pos["sbs"].distance_to(pos["ris"]), scenario.channel)).all()
+
+
+def test_moving_the_pu_redraws_only_its_links(scenario):
+    """The plan is keyed by value: moving the PU changes exactly the three
+    links that end at it, and a scenario rebuilt with equal values (a JSON
+    round trip) draws the same bytes from the same plan."""
+    moved = apply_overrides(scenario, {"positions": {"pu": {"x": 45.0}}})
+    rebuilt = apply_overrides(scenario, {})
+    assert rebuilt == scenario and rebuilt is not scenario
+    for seed in (0, 7):
+        base = generate_channels(scenario, seed=seed)
+        misses = channels_module._draw_plan.cache_info().misses
+        again = generate_channels(rebuilt, seed=seed)
+        assert channels_module._draw_plan.cache_info().misses == misses
+        assert _digests(again) == _digests(base)
+        after = generate_channels(moved, seed=seed)
+        changed = [name for name in LINKS if getattr(after, name).tobytes()
+                   != getattr(base, name).tobytes()]
+        assert changed == ["v", "h_p", "f_p"]
 
 
 def test_generate_different_seed_differs(scenario):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import constraint_violation
 
 import ris_crn
 from ris_crn import sdp
@@ -77,15 +78,10 @@ def test_problem_shape_checks():
         solve(SdpProblem(np.eye(2)))
 
 
-def test_unit_diagonal_violation_and_with_constraint():
-    """A diagonal row X_pp = 1 is violated on either side, a dense row only
-    above its bound; ``with_constraint`` appends a dense row and keeps the
-    unit diagonal."""
+def test_with_constraint_keeps_unit_diagonal():
+    """``with_constraint`` appends a dense row, keeps the unit diagonal
+    and checks every row as the constructor does."""
     problem = SdpProblem(np.eye(3), (np.eye(3),), (2.0,), unit_diagonal=True)
-    assert problem.constraint_violation(np.diag([1.0, 0.6, 0.4])) == (
-        pytest.approx(0.3))
-    assert problem.constraint_violation(np.diag([1.0, 1.0, 1.2])) == (
-        pytest.approx(max(1.2 / 3, 0.2 / 2)))
     grown = problem.with_constraint(-np.eye(3), -1.0)
     assert grown.unit_diagonal and grown.b == (2.0, -1.0)
     assert len(grown.constraints) == 5
@@ -190,7 +186,7 @@ def test_solution_certificates(rng):
                          (np.outer(b, b.conj()), np.eye(5)), (1.0, 10.0))
     sol = solve(problem)
     assert sol.status == "optimal"
-    assert problem.constraint_violation(sol.x) <= 1e-6 * (1 + sol.objective)
+    assert constraint_violation(problem, sol.x) <= 1e-6 * (1 + sol.objective)
     assert sol.gap <= 1e-6 * (1 + abs(sol.objective))
     assert np.min(np.linalg.eigvalsh(sol.x)) >= -1e-7 * np.trace(sol.x).real
 
