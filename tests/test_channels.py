@@ -1,14 +1,16 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ris_crn import channels as channels_module
-from ris_crn.channels import (ChannelError, generate_channels, los_matrix,
-                              path_loss_amplitude, pbs_beamformer,
-                              rician_sample, stream_rng, ula_steering)
+from ris_crn.channels import (STREAMS, ChannelError, generate_channels,
+                              los_matrix, path_loss_amplitude, pbs_beamformer,
+                              stream_rng, stream_rngs, ula_steering)
 from ris_crn.optimizer import run_algorithm1
 from ris_crn.scenario import ChannelParams, apply_overrides, elevation_deg
 
@@ -49,6 +51,70 @@ def test_steering_entries_unit_modulus():
     np.testing.assert_allclose(np.abs(v), 1.0, rtol=1e-14)
     los = los_matrix(4, 3, -12.0)
     np.testing.assert_allclose(np.abs(los), 1.0, rtol=1e-14)
+
+
+def scattered(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """CSCG(0, 1) entries from the real parts, then the imaginary parts."""
+    return (rng.standard_normal((rows, cols))
+            + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+
+
+def rician_sample(rows: int, cols: int, k: float, los: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Rician fading with unit per-entry second moment, one link at a time:
+    the reference of the one-pass draw, which runs its operations in its
+    order."""
+    if k < 0:
+        raise ChannelError(f"Rician factor must be >= 0, got {k}")
+    return (np.sqrt(k / (k + 1.0)) * los
+            + np.sqrt(1.0 / (k + 1.0)) * scattered(rows, cols, rng))
+
+
+def numpy_stream(seed, name: str) -> np.random.Generator:
+    """numpy's own spawned stream: the reference of stream_rng(s)."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(STREAMS[name],))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def _assert_numpy_streams(seed, names: tuple):
+    want = [numpy_stream(seed, name).bit_generator.state for name in names]
+    assert [rng.bit_generator.state
+            for rng in stream_rngs(seed, names)] == want
+    assert [stream_rng(seed, name).bit_generator.state
+            for name in names] == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1_000_000, 2**32 - 1, 2**32,
+                                  2**64, 2**128 - 1, 2**128,
+                                  np.int64(2**40 + 3)])
+def test_streams_are_numpys_spawned_streams(seed):
+    """Every stream, in any order or subset, is numpy's SeedSequence stream
+    state for state, across the seed word boundaries (the spawn word's
+    place in the entropy moves at 2**128)."""
+    names = tuple(STREAMS)
+    for subset in (names, names[::-1], ("randomization", "G", "f_s"),
+                   ("phase_init",), ("u", "u")):
+        _assert_numpy_streams(seed, subset)
+    rng, = stream_rngs(seed, ("h_p",))
+    assert (rng.standard_normal(5)
+            == numpy_stream(seed, "h_p").standard_normal(5)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**256),
+       st.lists(st.sampled_from(tuple(STREAMS)), min_size=1, max_size=9))
+def test_streams_match_numpy_on_any_seed(seed, names):
+    _assert_numpy_streams(seed, tuple(names))
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, 1.5, np.float64(2.0)])
+def test_stream_seed_errors_are_numpys(seed):
+    with pytest.raises((TypeError, ValueError)) as want:
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    for make in (lambda: stream_rng(seed, "G"),
+                 lambda: stream_rngs(seed, ("G", "phase_init"))):
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            make()
 
 
 def test_rician_pure_los_limit(rng):
@@ -141,9 +207,10 @@ LINK_ENDS = (("G", "n_ris", "n_s", "sbs", "ris"),
 
 def test_draw_matches_rician_reference(scenario):
     """Each of the seven links is pl * rician_sample(...) on the link's LOS
-    matrix and seed stream, bit for bit, with the draw plan cached; with
-    N = 0 the RIS links are empty."""
-    for case, seed in itertools.product(("paper_default", "no-ris"), (0, 3)):
+    matrix and numpy's SeedSequence stream, bit for bit, with the draw plan
+    cached; with N = 0 the RIS links are empty; in iid mode a link is
+    sqrt(channel_sigma2) times the scattered part."""
+    for case, seed in itertools.product(DRAW_CASES, (0, 3)):
         sc = apply_overrides(scenario, DRAW_CASES[case])
         pos, cp = sc.positions, sc.channel
         ch = generate_channels(sc, seed=seed)
@@ -151,9 +218,13 @@ def test_draw_matches_rician_reference(scenario):
             rows = getattr(sc, rows)
             cols = cols if cols == 1 else getattr(sc, cols)
             a, b = pos[src], pos[dst]
-            los = los_matrix(rows, cols, elevation_deg(a, b))
-            ref = path_loss_amplitude(a.distance_to(b), cp) * rician_sample(
-                rows, cols, cp.rician_k, los, stream_rng(seed, name))
+            rng = numpy_stream(seed, name)
+            if cp.iid_mode:
+                ref = np.sqrt(cp.channel_sigma2) * scattered(rows, cols, rng)
+            else:
+                los = los_matrix(rows, cols, elevation_deg(a, b))
+                ref = path_loss_amplitude(a.distance_to(b), cp) * (
+                    rician_sample(rows, cols, cp.rician_k, los, rng))
             got = getattr(ch, name)
             assert got.shape == ((rows, cols) if name == "G" else (rows,))
             assert got.tobytes() == ref.tobytes()
@@ -182,7 +253,7 @@ def test_cached_link_terms_read_only(scenario):
     hits = channels_module._draw_plan.cache_info().hits
     generate_channels(scenario, seed=1)
     assert channels_module._draw_plan.cache_info().hits == hits + 1
-    _, _, *arrays = channels_module._draw_plan(
+    _, _, _, *arrays = channels_module._draw_plan(
         scenario.n_ris, scenario.n_s, scenario.n_p, scenario.channel, **pos)
     for arr in arrays:
         assert not arr.flags.writeable
