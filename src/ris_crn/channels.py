@@ -52,7 +52,7 @@ def _stream_plan(streams: tuple, n_words: int) -> tuple:
     def hc(init, mult, calls):  # the hash constant after `calls` hashes
         return init * pow(mult, calls, 1 << 32) & _M32
     rows = []
-    for k, i in itertools.product(map(STREAMS.get, streams), range(8)):
+    for k, i in itertools.product([STREAMS[n] for n in streams], range(8)):
         i ^= sys.byteorder == "big"  # big-endian: swap pairs for the u64 view
         a = hc(_INIT_A, _MULT_A, 4 * n_words + i % 4)  # after the entropy
         mixed = (k ^ a) * (a * _MULT_A) & _M32
