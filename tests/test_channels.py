@@ -1,11 +1,12 @@
 import dataclasses
-import hashlib
 import itertools
 import re
 
 import numpy as np
 import pytest
+import record
 from hypothesis import given, settings, strategies as st
+from record import DRAW_CASES, LINKS, digests
 
 from ris_crn import channels as channels_module
 from ris_crn.channels import (STREAMS, ChannelError, generate_channels,
@@ -15,7 +16,6 @@ from ris_crn.optimizer import run_algorithm1
 from ris_crn.scenario import ChannelParams, apply_overrides, elevation_deg
 
 CP = ChannelParams(zeta0_db=-30.0, d0_m=1.0, alpha=3.0, rician_k=1.0)
-LINKS = ("G", "u", "v", "h_s", "h_p", "f_p", "f_s")
 
 
 def test_path_loss_reference_distance():
@@ -117,6 +117,14 @@ def test_stream_seed_errors_are_numpys(seed):
             make()
 
 
+def test_unknown_stream_is_named():
+    for make in (lambda: stream_rng(0, "nope"),
+                 lambda: stream_rngs(0, ("G", "nope"))):
+        with pytest.raises(KeyError) as err:
+            make()
+        assert err.value.args == ("nope",)
+
+
 def test_rician_pure_los_limit(rng):
     los = los_matrix(3, 2, -20.0)
     out = rician_sample(3, 2, 1e12, los, rng)
@@ -146,56 +154,10 @@ def test_rician_rejects_negative_k(rng):
 
 
 def test_generate_same_seed_is_identical(scenario):
-    a = generate_channels(scenario, seed=5)
-    b = generate_channels(scenario, seed=5)
-    for name in LINKS:
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-
-
-# sha256 prefixes of every drawn array, recorded before the per-geometry
-# link terms were cached; the empty digest e3b0... is an N=0 link's
-PINNED_DRAWS = {
-    ("paper_default", 0): "74571c938a396d02 62da19c636a4cedb 5cd61539eb61f0fc "
-    "df29ddebaa112639 9f7b08393ab4a46f cb98003a9e05b410 46cf11cf2575cc2d",
-    ("paper_default", 7): "0fc724f2fb7bd5ef a6b63eb2d687ff40 315fbb2b4f7d090a "
-    "b3d1710bf0c1a1c1 fbc351f0fea0a44d 79a315cb861b6716 a857a8ae375e4b9e",
-    ("paper_default", 1_000_000): "55dfb36212c3e3db ee4f99b8ea1af916 "
-    "362b8e41bebfae28 2bf99dcb06095955 98d4c366d2e3df44 3cf6194a68d46987 "
-    "2f814dc5e6bcc181",
-    ("iid-ns4", 0): "66c2dc823dbd2b4a 9019b1ff3e937ccf 24c57e224c4b8a62 "
-    "9495fd0b9e0f695f a7433d23ee4ec1d4 daa664560a927afd 8e10ee3966e5301c",
-    ("iid-ns4", 7): "ce473638c3c8cf33 8c5a4837846fe6c5 2c707c7c7db89075 "
-    "a75edf8612befef4 0bb2e3b27aae79f5 a070d1783ab607d4 1d611f8228de4522",
-    ("iid-ns4", 1_000_000): "89794c32961dbc91 a4cafef485986001 "
-    "8e0998d754cff629 30e5d4c528782319 7fe733066ac7ae8b 7a19f2be8daf3c38 "
-    "69eed80b33fee8e9",
-    ("no-ris", 0): "e3b0c44298fc1c14 e3b0c44298fc1c14 e3b0c44298fc1c14 "
-    "df29ddebaa112639 9f7b08393ab4a46f cb98003a9e05b410 46cf11cf2575cc2d",
-    ("no-ris", 7): "e3b0c44298fc1c14 e3b0c44298fc1c14 e3b0c44298fc1c14 "
-    "b3d1710bf0c1a1c1 fbc351f0fea0a44d 79a315cb861b6716 a857a8ae375e4b9e",
-    ("no-ris", 1_000_000): "e3b0c44298fc1c14 e3b0c44298fc1c14 "
-    "e3b0c44298fc1c14 2bf99dcb06095955 98d4c366d2e3df44 3cf6194a68d46987 "
-    "2f814dc5e6bcc181",
-}
-
-DRAW_CASES = {"paper_default": {}, "no-ris": {"n_ris": 0},
-              "iid-ns4": {"channel": {"iid_mode": True}, "n_s": 4}}
-
-
-def _digests(ch):
-    return " ".join(
-        hashlib.sha256(getattr(ch, name).tobytes()).hexdigest()[:16]
-        for name in LINKS)
-
-
-@pytest.mark.parametrize("case, seed", list(PINNED_DRAWS))
-def test_draws_pinned(case, seed, scenario):
-    """Every array of a draw is the same bytes as before the link terms
-    were cached, on the first draw of a geometry and on a repeat."""
-    sc = apply_overrides(scenario, DRAW_CASES[case])
-    for _ in range(2):
-        assert _digests(generate_channels(sc, seed=seed)) == PINNED_DRAWS[
-            case, seed]
+    for case in DRAW_CASES.values():
+        sc = apply_overrides(scenario, case)
+        a, b = (generate_channels(sc, seed=5) for _ in range(2))
+        assert digests(a) == digests(b)
 
 
 # (field, rows, cols, source, destination) of each link
@@ -233,16 +195,16 @@ def test_draw_matches_rician_reference(scenario):
 def test_writing_a_draw_leaves_the_next_unchanged(scenario):
     """The seven fields of a draw share one buffer but no entry: writing
     one leaves the other six as drawn, and no write reaches a later draw."""
-    pinned = PINNED_DRAWS["paper_default", 0].split()
+    pinned = record.committed("pinned_draws.json")["paper_default-0"]
     for name in LINKS:
         draw = generate_channels(scenario, seed=0)
         getattr(draw, name)[...] = 1.0 + 1.0j
-        assert ([d == p for d, p in zip(_digests(draw).split(), pinned)]
-                == [other != name for other in LINKS])
+        assert ({other: digest == pinned[other]
+                 for other, digest in digests(draw).items()}
+                == {other: other != name for other in LINKS})
     for name in LINKS:
         getattr(draw, name)[...] = 1.0 + 1.0j
-    assert (_digests(generate_channels(scenario, seed=0))
-            == PINNED_DRAWS["paper_default", 0])
+    assert digests(generate_channels(scenario, seed=0)) == pinned
 
 
 def test_cached_link_terms_read_only(scenario):
@@ -276,7 +238,7 @@ def test_moving_the_pu_redraws_only_its_links(scenario):
         misses = channels_module._draw_plan.cache_info().misses
         again = generate_channels(rebuilt, seed=seed)
         assert channels_module._draw_plan.cache_info().misses == misses
-        assert _digests(again) == _digests(base)
+        assert digests(again) == digests(base)
         after = generate_channels(moved, seed=seed)
         changed = [name for name in LINKS if getattr(after, name).tobytes()
                    != getattr(base, name).tobytes()]

@@ -1,11 +1,11 @@
 import dataclasses
-import json
 import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import record
 from conftest import constraint_violation
 from hypothesis import assume, given, settings, strategies as st
 
@@ -926,25 +926,8 @@ def test_fixed_phase_methods_solve_only_in_first_iteration(
         assert first["ws_step"] == "closed-form"
 
 
-# iid n_s=2 at -30 deg: the last real iteration's SROCR phase step is
-# rejected, so the iteration ends at the phases it started from.
-# Re-recorded when the beamformer step took the closed form where MRT
-# breaks C1: seed 8 moved by at most 1.3e-8 relative, and seed 17 from
-# 15.353292 to 15.351024, because its first SROCR phase step lands lower
-# from the exact beamformer than from the relaxation's vector.
-# Re-recorded when the link model took the cascade matrices, which change
-# the rounding of every row and phase relaxation: seed 8 moved by at most
-# 1.8e-10 relative, and seed 17 from 15.351024 to 15.353292, its first SROCR
-# phase step landing higher.
-FIXED_POINT_TRACES = {
-    8: [7.9612204100408865, 8.209517675738923, 8.3232644431247,
-        8.38269921166533, 8.418693246605217, 8.444414427356442,
-        8.458136022260888, 8.458136022260888],
-    17: [15.33578276580862, 15.353292492048423, 15.353292492048423],
-}
-
-
-@pytest.mark.parametrize("seed", sorted(FIXED_POINT_TRACES))
+@pytest.mark.parametrize(
+    "seed", map(int, record.STORES["fixed_point_traces.json"].cases))
 def test_proposed_fixed_point_is_replayed_not_solved(seed, iid_scenario,
                                                      monkeypatch):
     """A phase-updating run that reaches a fixed point records the replay
@@ -954,7 +937,8 @@ def test_proposed_fixed_point_is_replayed_not_solved(seed, iid_scenario,
     ch = generate_channels(sc, seed=seed)
     log = _solve_log(monkeypatch)
     res = run_algorithm1(ch, sc, seed=seed, fixed_tilt_deg=-30.0)
-    assert res.se_trace == FIXED_POINT_TRACES[seed]
+    assert res.se_trace == record.committed("fixed_point_traces.json")[
+        str(seed)]
     *real, replay = res.diagnostics
     assert not any(d.get("replayed") for d in real)
     assert replay == dict(real[-1], iteration=len(real) + 1, replayed=True)
@@ -1180,23 +1164,6 @@ def test_rejected_randomized_step_is_replayed_not_solved(iid_scenario,
                             zero_phase_start=True)
     assert capped.se_trace == res.se_trace[:-1]
     assert len(solved) == len(log) and all(map(_same_problem, solved, log))
-
-
-PATHLOSS_PIN = json.loads(
-    (Path(__file__).parent / "data" / "pathloss_pin.json").read_text())
-
-
-@pytest.mark.parametrize("seed", sorted(PATHLOSS_PIN, key=int))
-def test_pathloss_solve_pinned_bitwise(seed, scenario):
-    """``ris-crn solve`` on paper_default is pinned to the last bit: every
-    SE of the trace (float.hex) and the bytes of the final beamformer and
-    phases (little-endian complex128 and float64)."""
-    pin = PATHLOSS_PIN[seed]
-    res = run_algorithm1(generate_channels(scenario, seed=int(seed)),
-                         scenario, seed=int(seed))
-    assert [se.hex() for se in res.se_trace] == pin["se_trace"]
-    assert res.state.w_s.astype("<c16").tobytes().hex() == pin["w_s"]
-    assert res.state.phases.astype("<f8").tobytes().hex() == pin["phases"]
 
 
 # -- tight-cap regression set ---------------------------------------------

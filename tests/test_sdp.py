@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -7,12 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import record
 from conftest import constraint_violation
 
 import ris_crn
 from ris_crn import sdp
-from ris_crn.experiments import run_trial
-from ris_crn.scenario import apply_overrides, paper_default
 from ris_crn.sdp import (SdpProblem, _max_steps, _schur_complement,
                          _unit_scale, check_hermitian, principal_eigpair,
                          solve)
@@ -387,54 +385,15 @@ def test_lapack_loaded_by_first_solve():
 
 
 # -- bit pin --------------------------------------------------------------
-SDP_PIN = json.loads(
-    (Path(__file__).parent / "data" / "sdp_pin.json").read_text())
-PIN_TRIALS = {f"iid-ns4-seed{seed}": ({}, seed) for seed in range(5)}
-PIN_TRIALS["iid-ns4-n32-seed0"] = ({"n_ris": 32}, 0)
-
-
-def _pinned_solves(case, monkeypatch):
-    """Every sdp.solve of the proposed method's trial ``case`` (iid, n_s=4,
-    -30 deg), in order: the problem key d<dim>m<#constraints>, status,
-    iteration count, float.hex of the objective, residuals and gap, and
-    the sha256 of X's little-endian complex128 bytes."""
-    overrides, seed = PIN_TRIALS[case]
-    sc = apply_overrides(paper_default(), {"channel": {"iid_mode": True},
-                                           "n_s": 4, **overrides})
-    records = []
-    real = sdp.solve
-
-    def spy(problem):
-        sol = real(problem)
-        records.append(
-            [f"d{problem.dim}m{len(problem.constraints)}", sol.status,
-             sol.iterations] + [v.hex() for v in (
-                 sol.objective, sol.primal_residual, sol.dual_residual,
-                 sol.gap)]
-            + [hashlib.sha256(sol.x.astype("<c16").tobytes()).hexdigest()])
-        return sol
-
-    monkeypatch.setattr(sdp, "solve", spy)
-    run_trial(sc, "proposed", seed, fixed_tilt_deg=-30.0)
-    return records
-
-
 def test_sdp_pin_covers_every_exit_and_shape():
     """The pinned trials hold the beamformer relaxation (d4m2), the phase
     relaxation at N = 20 and 32 with its SROCR rounds (d21m22, d21m23,
     d33m34), and the IPM's non-optimal exits: seed 2's SROCR rounds end
     ``numerical-failure`` and ``max-iterations`` after 69-100 iterations."""
-    solves = [rec for recs in SDP_PIN.values() for rec in recs]
+    solves = [rec for recs in record.committed("sdp_pin.json").values()
+              for rec in recs]
     assert {rec[0] for rec in solves} == {"d4m2", "d21m22", "d21m23",
                                           "d33m34"}
     assert {rec[1] for rec in solves} == {"optimal", "numerical-failure",
                                           "max-iterations"}
     assert max(rec[2] for rec in solves) == 100
-
-
-@pytest.mark.parametrize("case", sorted(PIN_TRIALS))
-def test_sdp_solve_pinned_bitwise(case, monkeypatch):
-    """The interior-point iterates are pinned to the last bit: a faster
-    kernel must give every solve of these trials the same status,
-    iteration count, objective, residuals, gap and X bytes."""
-    assert _pinned_solves(case, monkeypatch) == SDP_PIN[case]
