@@ -3,7 +3,11 @@
 After the semidefinite relaxation is solved, the rank-one constraint is
 restored gradually: each round adds the alignment constraint
 ``q^H X q >= w * tr(X)`` with ``q`` the principal eigenvector of the previous
-round's solution, and re-solves while pushing ``w`` toward 1.  When the
+round's solution, and re-solves while pushing ``w`` toward 1.  A
+unit-modulus round at ``w = 1`` has one feasible point, ``u u^H``, and no
+interior, so it is decided from that point: where ``u u^H`` keeps every
+dense row, the interior-point method cannot end optimal and the round
+fails unsolved; the IPM runs only where ``u u^H`` breaks a row.  When the
 schedule stalls, a Gaussian randomization fallback returns the best
 feasible unit-modulus draw, or the least-violating one when no draw is
 feasible; the optimizer then scales the beamformer down to meet the
@@ -101,14 +105,18 @@ def refine(problem: SdpProblem, relaxed: SdpSolution,
         sol = None
         if w_try != failed_w:
             align = _align_direction(q, unit_modulus)
-            # a^H X a >= w * tr(X)  <=>  tr((w I - a a^H) X) <= 0
-            sol = sdp.solve(problem.with_constraint(
-                w_try * np.eye(n) - np.outer(align, align.conj()), 0.0))
-        # A unit-modulus round at w_try = 1 has one feasible point:
-        # tr((I - a a^H) X) <= 0 forces X = c a a^H, and the unit diagonal
-        # gives X = u u^H with u = sqrt(n) a.  With no interior point the
-        # solve ends non-optimal even where u u^H meets C1, so such a round
-        # counts as failed although its problem is feasible.
+            # At w_try = 1 a unit-modulus round's one feasible point is
+            # u u^H with u = sqrt(n) a: tr((I - a a^H) X) <= 0 forces
+            # X = c a a^H, and the unit diagonal fixes c.  Where u u^H keeps
+            # every dense row, the IPM, with no interior to follow, cannot
+            # end optimal, so the round fails unsolved.
+            u = np.sqrt(n) * align
+            if not (unit_modulus and w_try == 1.0 and all(
+                    np.vdot(u, a @ u).real <= b
+                    for a, b in zip(problem.a, problem.b))):
+                # a^H X a >= w * tr(X)  <=>  tr((w I - a a^H) X) <= 0
+                sol = sdp.solve(problem.with_constraint(
+                    w_try * np.eye(n) - np.outer(align, align.conj()), 0.0))
         if sol is None or sol.status != "optimal":
             failed_w = w_try
             delta *= SHRINK

@@ -5,6 +5,7 @@ code under test, its file format, and the moves between two records.
 each moved value, then each cell of results/*.csv that differs from HEAD's.
 """
 import dataclasses
+import difflib
 import hashlib
 import itertools
 import json
@@ -157,15 +158,29 @@ def _float(value):
         return value if isinstance(value, float) else None
 
 
+def _aligned(old: list, new: list) -> list:
+    """(index, old entry, new entry) for each entry of two lists outside
+    their runs of equal entries: a removed entry as (its old index, entry,
+    None), an inserted one as (its new index, None, entry), and a replaced
+    block entry by entry."""
+    matcher = difflib.SequenceMatcher(None, [json.dumps(v) for v in old],
+                                      [json.dumps(v) for v in new],
+                                      autojunk=False)
+    return [(i1 + k if i1 + k < i2 else j1 + k, *pair)
+            for tag, i1, i2, j1, j2 in matcher.get_opcodes() if tag != "equal"
+            for k, pair in enumerate(itertools.zip_longest(old[i1:i2],
+                                                           new[j1:j2]))]
+
+
 def moves(old, new, path: str = "") -> list:
     """Each value that differs between two records, by its path, as
     'path: old → new' (None where one side lacks it), with the relative
-    move where both are floats."""
+    move where both are floats.  Lists are aligned on their equal entries
+    first, so an entry removed or inserted moves nothing after it."""
     if isinstance(old, dict) and isinstance(new, dict):
         pairs = [(k, old.get(k), new.get(k)) for k in {**old, **new}]
     elif isinstance(old, list) and isinstance(new, list):
-        pairs = [(i, *pair) for i, pair in
-                 enumerate(itertools.zip_longest(old, new))]
+        pairs = _aligned(old, new)
     elif old == new:
         return []
     else:

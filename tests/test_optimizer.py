@@ -871,32 +871,87 @@ def test_no_beamformer_sdp_solved_twice_in_a_row(method, iid_scenario,
                            for p, q in zip(solved, solved[1:])), (tilt, seed)
 
 
-def test_failed_phase_solves_are_full_weight_rounds_with_no_interior(
-        iid_scenario, monkeypatch):
-    """Every non-optimal phase solve of the -30 deg seed-2 trial is an
-    SROCR round at weight 1.  With a = u / sqrt(n) and u unit-modulus,
-    tr((I - a a^H) X) <= 0 forces X = c a a^H, and the unit diagonal fixes
-    X = u u^H: the round has exactly one feasible point and no interior,
-    so the interior-point method fails on it.  That point meets C1 with a
-    margin of 4% or more, so the round is feasible, not infeasible."""
+def _full_weight_point(problem: sdp.SdpProblem):
+    """u with u u^H the one point of a unit-diagonal problem whose last row
+    is a full-weight SROCR alignment I - a a^H, a = u / sqrt(n); None when
+    the last row is not one."""
+    n = problem.dim
+    vals, vecs = np.linalg.eigh(np.eye(n) - problem.a[-1])  # a a^H at w=1
+    if not np.allclose(vals[:-1], 0.0, atol=1e-12):
+        return None
+    u = np.sqrt(n * vals[-1]) * vecs[:, -1]
+    np.testing.assert_allclose(np.abs(u), 1.0, rtol=1e-12)
+    return u
+
+
+@pytest.mark.parametrize("seed, unsolved_rounds, solved_rounds",
+                         [(2, 4, 0), (7, 0, 5)])
+def test_full_weight_rounds_that_keep_c1_are_not_solved(
+        seed, unsolved_rounds, solved_rounds, iid_scenario, monkeypatch):
+    """An SROCR round at weight 1 has one feasible point: with
+    a = u / sqrt(n) and u unit-modulus, tr((I - a a^H) X) <= 0 forces
+    X = c a a^H, and the unit diagonal fixes X = u u^H.  Where that point
+    meets C1 the round has no interior, and the interior-point method
+    fails on it, so refine counts it as failed without solving it.  The
+    -30 deg seed-2 trial decides four such rounds, each with a C1 margin
+    of 4% or more; every weight-1 round the seed-7 trial solves breaks C1
+    at u u^H."""
     sc = apply_overrides(iid_scenario, {"n_s": 4})
     log = _solve_log(monkeypatch)
-    run_trial(sc, "proposed", seed=2, fixed_tilt_deg=-30.0)
-    failed = [problem for problem, sol in zip(log, log.solutions)
-              if sol.status != "optimal"]
-    assert len(failed) == 4
-    for problem in failed:
+    events = []  # (refine's problem, a or None at its end, solves so far)
+    real_refine, real_align = srocr.refine, srocr._align_direction
+
+    def refine_spy(problem, relaxed, unit_modulus=False):
+        events.append((problem, None, len(log)))
+        result = real_refine(problem, relaxed, unit_modulus)
+        events.append((problem, None, len(log)))
+        return result
+
+    def align_spy(q, unit_modulus):
+        a = real_align(q, unit_modulus)
+        events.append((events[-1][0], a, len(log)))
+        return a
+
+    monkeypatch.setattr(srocr, "refine", refine_spy)
+    monkeypatch.setattr(srocr, "_align_direction", align_spy)
+    run_trial(sc, "proposed", seed=seed, fixed_tilt_deg=-30.0)
+    solved = [(problem, _full_weight_point(problem)) for problem in log
+              if problem.unit_diagonal and len(problem.a) == 2]
+    solved = [(problem, u) for problem, u in solved if u is not None]
+    assert len(solved) == solved_rounds
+    for problem, u in solved:
+        assert float(np.vdot(u, problem.a[0] @ u).real) > problem.b[0]
+    unsolved = [problem.with_constraint(np.eye(problem.dim)
+                                        - np.outer(a, a.conj()), 0.0)
+                for (problem, a, k), (*_, after) in zip(events, events[1:])
+                if a is not None and after == k]
+    assert len(unsolved) == unsolved_rounds
+    for problem in unsolved:
         n = problem.dim
         assert (n, len(problem.constraints)) == (sc.n_ris + 1, n + 2)
-        assert problem.unit_diagonal and problem.b[-1] == 0.0
-        vals, vecs = np.linalg.eigh(np.eye(n) - problem.a[-1])  # a a^H at w=1
-        np.testing.assert_allclose(vals[:-1], 0.0, atol=1e-12)
-        u = np.sqrt(n * vals[-1]) * vecs[:, -1]
-        np.testing.assert_allclose(np.abs(u), 1.0, rtol=1e-12)
+        u = _full_weight_point(problem)
+        assert u is not None
         point = np.outer(u, u.conj())
         assert constraint_violation(problem, point) <= 1e-12
         assert (float(np.vdot(u, problem.a[0] @ u).real)
                 <= (1 - 0.04) * problem.b[0])
+        assert solve(problem).status != "optimal"
+
+
+@pytest.mark.parametrize("n_s, tilts", [(4, (-22.0, -38.0)),
+                                         (8, (-24.0, -36.0))])
+def test_tilts_mirrored_about_the_surface_reach_one_se(n_s, tilts,
+                                                       iid_scenario):
+    """Tilts mirrored about the RIS direction (-30 deg) give the reflected
+    path the same pattern gain, while the direct and PU gains sit 210-930
+    dB down at both, so each pair poses the same problem up to rounding.
+    The n_s=4 pair came 3.5e-6 apart while full-weight SROCR rounds were
+    left to the interior-point method, whose status there follows
+    rounding."""
+    sc = apply_overrides(iid_scenario, {"n_s": n_s})
+    first, second = (run_trial(sc, "proposed", seed=2, fixed_tilt_deg=tilt)
+                     .se_bps_hz for tilt in tilts)
+    assert second == pytest.approx(first, rel=1e-9)
 
 
 @pytest.mark.parametrize("method", ["random_phase", "fixed_zero_phase",

@@ -28,3 +28,19 @@ def test_csv_moves_name_each_cell():
         "t/9,0: None → {'n_ris': '9', 'trial': '0', 'se': '1.0', "
         "'viol': '0'}"]
     assert record.csv_moves(old, old) == []
+
+
+def test_list_moves_align_equal_entries():
+    """A removed or inserted entry is named once, and the equal entries
+    after it are not reported as moved; a replaced entry is compared field
+    by field."""
+    old = [["d4m2", 1.0], ["d21m23", 2.0], ["d21m22", 3.0], ["d4m2", 4.0]]
+    new = [old[0], old[2], ["d4m2", 4.5], ["d4m2", 5.0]]
+    assert record.moves(old, new, "p") == [
+        "p/1: ['d21m23', 2.0] → None",
+        "p/3/1: 4.0 → 4.5 (+1.25e-01)",
+        "p/3: None → ['d4m2', 5.0]"]
+    assert record.moves(old, old[:1] + old[2:], "p") == [
+        "p/1: ['d21m23', 2.0] → None"]
+    assert record.moves(old[1:], old, "p") == [
+        "p/0: None → ['d4m2', 1.0]"]

@@ -385,15 +385,15 @@ def test_lapack_loaded_by_first_solve():
 
 
 # -- bit pin --------------------------------------------------------------
-def test_sdp_pin_covers_every_exit_and_shape():
-    """The pinned trials hold the beamformer relaxation (d4m2), the phase
-    relaxation at N = 20 and 32 with its SROCR rounds (d21m22, d21m23,
-    d33m34), and the IPM's non-optimal exits: seed 2's SROCR rounds end
-    ``numerical-failure`` and ``max-iterations`` after 69-100 iterations."""
+def test_sdp_pin_covers_every_shape_and_ends_optimal():
+    """The pinned trials hold the beamformer relaxation (d4m2) and the
+    phase relaxation at N = 20 and 32 with its SROCR rounds (d21m22,
+    d21m23, d33m34), and every solve ends ``optimal``: the full-weight
+    SROCR rounds that ended ``numerical-failure`` or ``max-iterations``
+    are decided without a solve.  Those exits are reached by the rounds
+    rebuilt in test_optimizer.py and by its tight-cap set."""
     solves = [rec for recs in record.committed("sdp_pin.json").values()
               for rec in recs]
     assert {rec[0] for rec in solves} == {"d4m2", "d21m22", "d21m23",
                                           "d33m34"}
-    assert {rec[1] for rec in solves} == {"optimal", "numerical-failure",
-                                          "max-iterations"}
-    assert max(rec[2] for rec in solves) == 100
+    assert {rec[1] for rec in solves} == {"optimal"}
